@@ -7,6 +7,7 @@ never sources of truth.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -80,7 +81,8 @@ def gotzmann_value_deg2(n: int, m: int) -> int:
     if not 0 <= m <= n:
         raise ValueError(f"closed form requires 0 <= m <= n, got m={m}, n={n}")
     numerator = m * (2 * n + 1 - m)
-    assert numerator % 2 == 0
+    if numerator % 2 != 0:
+        raise ArithmeticError(f"m(2n + 1 - m) = {numerator} is odd")
     return numerator // 2
 
 
@@ -156,12 +158,14 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     Also asserts on every Gotzmann instance that e < n and that the
     square-free Kruskal-Katona equality f_d = f_{d-1}^(d) holds.  Any
     violation raises StarTheoremMismatch carrying the offending graph; a
-    normal return therefore always reports zero mismatches.
+    normal return therefore always reports zero mismatches.  max_vertices > 7
+    (hours of enumeration) and workers > CPU count raise ValueError up front.
     """
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    if not 1 <= max_vertices <= 7:
+        raise ValueError("max_vertices must be in 1..7")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be in 1..{cpus} (the CPU count)")
     start_time = time.perf_counter()
     checked = stars = gotzmann = 0
     failure: tuple[int, int, str] | None = None
@@ -169,11 +173,8 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     jobs = []
     for n in range(1, max_vertices + 1):
         total = 1 << len(edge_pairs(n))
-        if workers == 1:
-            jobs.append((n, 0, total))
-        else:
-            step = max(1, (total + workers - 1) // workers)
-            jobs.extend((n, lo, min(lo + step, total)) for lo in range(0, total, step))
+        step = (total + workers - 1) // workers
+        jobs.extend((n, lo, min(lo + step, total)) for lo in range(0, total, step))
 
     if workers == 1:
         results = map(_check_mask_range, jobs)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from typing import Callable, Iterable
 
 
 def binomial(p: int, q: int) -> int:
@@ -64,7 +66,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
 
     b_d is the largest b with C(b, d) <= a; recurse on the remainder at
     degree d - 1.  Strict decrease of the coefficients is automatic for the
-    greedy choice, but is asserted anyway via the MacaulayRep invariants.
+    greedy choice, but is checked anyway via the MacaulayRep invariants.
     """
     if a < 0:
         raise ValueError("a must be non-negative")
@@ -76,7 +78,8 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         b = _largest_base(remainder, i)
         coefficients.append(b)
         remainder -= binomial(b, i)
-    assert remainder == 0
+    if remainder != 0:
+        raise ArithmeticError(f"greedy Macaulay remainder {remainder} is not zero")
     return MacaulayRep(d, tuple(coefficients))
 
 
@@ -103,3 +106,15 @@ def kruskal_katona_pseudopower(a: int, d: int) -> int:
         binomial(b, i + 1)
         for b, i in zip(rep.coefficients, range(d, 0, -1))
     )
+
+
+def minimal_elements(items: Iterable, rank: Callable, below: Callable) -> list:
+    """The distinct items that no other item lies below, lowest rank first.
+
+    Needs below(a, b) to imply rank(a) < rank(b) for distinct a, b: each item
+    is compared only with those kept from lower ranks, never within its rank.
+    """
+    kept: list = []
+    for _, group in groupby(sorted(set(items), key=rank), key=rank):
+        kept.extend([x for x in group if not any(map(below, kept, repeat(x)))])
+    return kept

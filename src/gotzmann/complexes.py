@@ -6,12 +6,18 @@ and the facet representation is canonical.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .combinatorics import binomial, kruskal_katona_pseudopower
+from .combinatorics import binomial, kruskal_katona_pseudopower, minimal_elements
 from .monomials import Monomial, MonomialIdeal
+
+
+def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct faces contained in no other face."""
+    return minimal_elements(faces, lambda f: -len(f), frozenset.__gt__)
 
 
 @dataclass(frozen=True)
@@ -34,23 +40,16 @@ class SimplicialComplex:
             for v in facet:
                 if not 1 <= v <= self.ground_size:
                     raise ValueError(f"vertex {v} outside 1..{self.ground_size}")
-        for a in self.facets:
-            for b in self.facets:
-                if a != b and a <= b:
-                    raise ValueError("facets must be pairwise incomparable")
+        if len(_maximal_faces(self.facets)) != len(self.facets):
+            raise ValueError("facets must be pairwise incomparable")
 
     @classmethod
     def from_faces(
         cls, ground_size: int, faces: Iterable[Iterable[int]]
     ) -> SimplicialComplex:
         """Build a complex from any face list by extracting the maximal ones."""
-        face_sets = {frozenset(f) for f in faces}
-        face_sets.add(frozenset())
-        maximal = {
-            f for f in face_sets
-            if not any(f < g for g in face_sets)
-        }
-        return cls(ground_size, frozenset(maximal))
+        face_sets = [frozenset(), *map(frozenset, faces)]
+        return cls(ground_size, frozenset(_maximal_faces(face_sets)))
 
     @property
     def dimension(self) -> int:
@@ -104,10 +103,18 @@ class FVector:
         return len(self.counts)
 
 
-def _generator_supports(ideal: MonomialIdeal) -> list[frozenset[int]]:
+def _independent_sets(
+    ideal: MonomialIdeal, sizes: Iterable[int]
+) -> Iterator[frozenset[int]]:
+    """Vertex sets of the given sizes that contain no generator's support."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
-    return [g.support for g in ideal.generators]
+    supports = [g.support for g in ideal.generators]
+    for size in sizes:
+        for combo in combinations(range(1, ideal.ambient_vars + 1), size):
+            s = frozenset(combo)
+            if not any(sup <= s for sup in supports):
+                yield s
 
 
 def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
@@ -116,26 +123,13 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
     This is entry f_{size-1} of the Stanley-Reisner complex's f-vector,
     computed without materializing the complex.
     """
-    supports = _generator_supports(ideal)
-    count = 0
-    for combo in combinations(range(1, ideal.ambient_vars + 1), size):
-        s = frozenset(combo)
-        if not any(sup <= s for sup in supports):
-            count += 1
-    return count
+    return sum(1 for _ in _independent_sets(ideal, (size,)))
 
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces are the vertex sets whose square-free product is not in the ideal."""
-    supports = _generator_supports(ideal)
     n = ideal.ambient_vars
-    faces = []
-    for size in range(n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if not any(sup <= s for sup in supports):
-                faces.append(s)
-    return SimplicialComplex.from_faces(n, faces)
+    return SimplicialComplex.from_faces(n, _independent_sets(ideal, range(n + 1)))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
@@ -146,25 +140,21 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     """
     n = complex_.ground_size
     face_set = complex_.faces()
-    gens = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if s in face_set:
-                continue
-            if all(s - {v} in face_set for v in s):
-                gens.append(Monomial.squarefree(n, s))
-    return frozenset(gens)
+    non_faces = (
+        s for size in range(1, n + 1)
+        for s in map(frozenset, combinations(range(1, n + 1), size))
+        if s not in face_set
+    )
+    return frozenset(
+        Monomial.squarefree(n, s)
+        for s in minimal_elements(non_faces, len, frozenset.__lt__)
+    )
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:
     """Exact face counts by dimension, by enumerating subsets of the facets."""
-    counts: dict[int, int] = {}
-    for face in complex_.faces():
-        if face:
-            counts[len(face)] = counts.get(len(face), 0) + 1
-    dim = complex_.dimension
-    return FVector(tuple(counts.get(size, 0) for size in range(1, dim + 2)))
+    counts = Counter(len(face) for face in complex_.faces())
+    return FVector(tuple(counts[size] for size in range(1, complex_.dimension + 2)))
 
 
 def hilbert_stanley_reisner(fv: FVector, k: int) -> int:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable
 
-from .combinatorics import binomial
+from .combinatorics import binomial, minimal_elements
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ class Monomial:
         return "*".join(parts)
 
 
+def _minimal_generators(generators: Iterable[Monomial]) -> list[Monomial]:
+    """The distinct generators that no other generator divides."""
+    return minimal_elements(generators, attrgetter("degree"), Monomial.divides)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by a minimal generating set.
@@ -85,24 +91,19 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         if self.ambient_vars < 1:
             raise ValueError("need at least one ambient variable")
+        d = self.generation_degree
+        if d is not None and d < 1:
+            raise ValueError("generation degree must be positive")
         for g in self.generators:
             if len(g.exponents) != self.ambient_vars:
                 raise ValueError("generator over wrong number of variables")
             if g.degree == 0:
                 raise ValueError("the unit monomial cannot be a generator")
-        if self.generation_degree is not None:
-            if self.generation_degree < 1:
-                raise ValueError("generation degree must be positive")
-            for g in self.generators:
-                if g.degree != self.generation_degree:
-                    raise ValueError(
-                        f"generator {g} has degree {g.degree}, "
-                        f"expected {self.generation_degree}"
-                    )
-        for a in self.generators:
-            for b in self.generators:
-                if a != b and a.divides(b):
-                    raise ValueError(f"generator {b} is redundant: {a} divides it")
+            if d is not None and g.degree != d:
+                raise ValueError(f"generator {g} has degree {g.degree}, expected {d}")
+        redundant = self.generators.difference(_minimal_generators(self.generators))
+        if redundant:
+            raise ValueError(f"generator {min(map(str, redundant))} is redundant")
 
     @classmethod
     def from_generators(
@@ -117,22 +118,14 @@ class MonomialIdeal:
         A common degree is recorded when all surviving generators share one;
         the zero ideal requires an explicit degree.
         """
-        gens = set(generators)
-        minimal = frozenset(
-            g for g in gens
-            if not any(h != g and h.divides(g) for h in gens)
-        )
+        minimal = frozenset(_minimal_generators(generators))
         degrees = {g.degree for g in minimal}
-        if len(degrees) == 1:
-            inferred = degrees.pop()
-            if degree is not None and degree != inferred:
-                raise ValueError("declared degree disagrees with generators")
-            degree = inferred
-        elif degrees:
-            if degree is not None:
-                raise ValueError("declared degree disagrees with generators")
-        elif degree is None:
+        if not degrees and degree is None:
             raise ValueError("zero ideal needs an explicit generation degree")
+        if degrees and degree is not None and degrees != {degree}:
+            raise ValueError("declared degree disagrees with generators")
+        if len(degrees) == 1:
+            (degree,) = degrees
         return cls(ambient_vars, degree, minimal)
 
     @property

@@ -47,3 +47,12 @@ def independent_sets_of_size(n: int, edges: set[frozenset[int]], size: int) -> i
         if not any(e <= set(combo) for e in edges):
             count += 1
     return count
+
+
+def minimal_under(items, le) -> set:
+    """Distinct items x such that no other item y has le(y, x), by all pairs."""
+    distinct = set(items)
+    return {
+        x for x in distinct
+        if not any(y != x and le(y, x) for y in distinct)
+    }

@@ -108,6 +108,12 @@ def test_criterion_1_star_theorem_exhaustive(capsys):
     assert summary.graphs_checked == expected_graphs
     assert summary.mismatches == 0
     assert summary.stars_found == summary.gotzmann_found
+    # labeled stars on n vertices: edgeless, single edges, and a centre
+    # joined to at least two of the other n - 1 vertices
+    assert summary.stars_found == sum(
+        1 + binomial(n, 2) + n * (2 ** (n - 1) - n)
+        for n in range(1, CENSUS_MAX_VERTICES + 1)
+    ) == 271
     assert elapsed < 60.0
 
     # the same run must be reachable through the CLI

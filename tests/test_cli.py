@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
+import os
+
 import pytest
 
+from gotzmann import certifier
 from gotzmann.cli import main
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
@@ -153,6 +156,23 @@ class TestVerify:
             capsys, "verify-star-theorem", "--max-vertices", "3", "--machine"
         )
         assert first == second
+
+    def test_refuses_hours_long_vertex_count(self, capsys):
+        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "8")
+        assert code == 2
+        assert "max_vertices" in err
+
+    def test_refuses_more_workers_than_cpus(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(certifier.multiprocessing, "Pool", no_pool)
+        code, _, err = run(
+            capsys, "verify-star-theorem", "--max-vertices", "1",
+            "--workers", str((os.cpu_count() or 1) + 1),
+        )
+        assert code == 2
+        assert "workers" in err
 
     def test_human_mentions_wall_time(self, capsys):
         code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "2")

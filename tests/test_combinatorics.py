@@ -9,8 +9,9 @@ from gotzmann.combinatorics import (
     kruskal_katona_pseudopower,
     macaulay_pseudopower,
     macaulay_rep,
+    minimal_elements,
 )
-from oracles import pascal_triangle
+from oracles import divides, minimal_under, pascal_triangle
 
 
 class TestBinomial:
@@ -121,3 +122,36 @@ class TestPseudoPowers:
     @settings(max_examples=200)
     def test_kk_below_macaulay(self, a, d):
         assert kruskal_katona_pseudopower(a, d) <= macaulay_pseudopower(a, d)
+
+
+def _sets(n):
+    return st.frozensets(st.integers(1, n), max_size=n)
+
+
+class TestMinimalElements:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=25)
+        )
+    )
+    @settings(max_examples=200)
+    def test_divisibility_matches_oracle(self, vectors):
+        kept = minimal_elements(
+            vectors, sum, lambda a, b: a != b and divides(a, b)
+        )
+        assert len(kept) == len(set(kept))
+        assert set(kept) == minimal_under(vectors, divides)
+
+    @given(st.lists(_sets(6), max_size=30))
+    @settings(max_examples=200)
+    def test_minimal_sets_match_oracle(self, family):
+        kept = minimal_elements(family, len, frozenset.__lt__)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == minimal_under(family, lambda a, b: a <= b)
+
+    @given(st.lists(_sets(6), max_size=30))
+    @settings(max_examples=200)
+    def test_maximal_sets_match_oracle(self, family):
+        kept = minimal_elements(family, lambda s: -len(s), frozenset.__gt__)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == minimal_under(family, lambda a, b: a >= b)

@@ -79,6 +79,11 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             ideal(3, (1, 1, 0), degree=3)
 
+    def test_direct_construction_rejects_redundant_generator(self):
+        x1, x1x2 = Monomial((1, 0, 0)), Monomial((1, 1, 0))
+        with pytest.raises(ValueError, match="redundant"):
+            MonomialIdeal(3, None, frozenset({x1, x1x2}))
+
     def test_generator_outside_ambient(self):
         with pytest.raises(ValueError):
             MonomialIdeal.from_generators(2, [Monomial((1, 1, 0))])
