@@ -25,18 +25,27 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_header_int(lines: list[tuple[int, str]], what: str) -> tuple[int, list[tuple[int, str]]]:
+def _parse_header(
+    lines: list[tuple[int, str]], *names: str
+) -> tuple[list[int], list[tuple[int, str]]]:
+    """Header integers, one per name (trailing ones optional), and the lines after it."""
     if not lines:
-        raise InputFormatError(f"line 1: missing {what} header")
+        raise InputFormatError(f"line 1: missing {names[0]} header")
     lineno, line = lines[0]
-    head = line.split()[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise InputFormatError(f"line {lineno}: {what} must be an integer, got {head!r}") from None
-    if n < 1:
-        raise InputFormatError(f"line {lineno}: {what} must be positive")
-    return n, lines[1:]
+    fields = line.split()
+    if len(fields) > len(names):
+        raise InputFormatError(
+            f"line {lineno}: header takes at most {len(names)} field(s), got {line!r}"
+        )
+    values = []
+    for name, field in zip(names, fields):
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: {name} must be an integer, got {field!r}") from None
+        if values[-1] < 1:
+            raise InputFormatError(f"line {lineno}: {name} must be positive")
+    return values, lines[1:]
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -48,16 +57,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
     x1*x2.
     """
     lines = _data_lines(text)
-    n, rest = _parse_header_int(lines, "variable count")
-    header_fields = lines[0][1].split()
-    declared_degree: int | None = None
-    if len(header_fields) > 1:
-        try:
-            declared_degree = int(header_fields[1])
-        except ValueError:
-            raise InputFormatError(
-                f"line {lines[0][0]}: generation degree must be an integer"
-            ) from None
+    (n, *degree), rest = _parse_header(lines, "variable count", "generation degree")
+    declared_degree = degree[0] if degree else None
 
     generators = []
     for lineno, line in rest:
@@ -105,7 +106,7 @@ def format_ideal(ideal: MonomialIdeal) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse a graph file: line 1 = vertex count, each following line ``u v``."""
     lines = _data_lines(text)
-    n, rest = _parse_header_int(lines, "vertex count")
+    (n,), rest = _parse_header(lines, "vertex count")
     edges = []
     for lineno, line in rest:
         fields = line.split()
@@ -132,7 +133,7 @@ def format_graph(g: Graph) -> str:
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse a complex file: line 1 = ground size, each following line one facet."""
     lines = _data_lines(text)
-    n, rest = _parse_header_int(lines, "ground size")
+    (n,), rest = _parse_header(lines, "ground size")
     facets = []
     for lineno, line in rest:
         try:

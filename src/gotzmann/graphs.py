@@ -85,9 +85,12 @@ class Graph:
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
-    """The square-free quadratic ideal with one generator x_u * x_v per edge."""
-    gens = [Monomial.squarefree(g.vertex_count, e) for e in g.edges]
-    return MonomialIdeal.from_generators(g.vertex_count, gens, degree=2)
+    """The square-free quadratic ideal with one generator x_u * x_v per edge.
+
+    Distinct edges give distinct degree-2 generators, so they are already minimal.
+    """
+    n = g.vertex_count
+    return MonomialIdeal(n, 2, frozenset(Monomial.squarefree(n, e) for e in g.edges))
 
 
 def is_star(g: Graph) -> bool:

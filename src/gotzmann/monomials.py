@@ -1,14 +1,15 @@
 """Monomials, equigenerated monomial ideals and brute-force Hilbert functions.
 
-Hilbert values are computed by exhaustive enumeration of all monomials of a
-given degree.  That enumeration is deliberately the single source of truth:
+Hilbert values are computed by exhaustive enumeration: the degree-k part
+I_k is listed monomial by monomial as the set of degree-k multiples of the
+generators.  That enumeration is deliberately the single source of truth:
 every closed form elsewhere in the package is cross-checked against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable
 
 from .combinatorics import binomial, minimal_elements
@@ -175,22 +176,16 @@ def hilbert_ring(n: int, k: int) -> int:
 
 
 def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:
-    """H(I, k) by enumeration: degree-k monomials divisible by some generator."""
+    """H(I, k) by enumeration: I_k is the set of products g * m over the
+    generators g of degree at most k and the monomials m of degree k - deg g."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    if ideal.is_zero or k < ideal.min_generator_degree:
-        return 0
-    gens = [g.exponents for g in ideal.generators]
-    count = 0
-    for m in degree_monomials(ideal.ambient_vars, k):
-        for g in gens:
-            for a, b in zip(g, m):
-                if a > b:
-                    break
-            else:
-                count += 1
-                break
-    return count
+    n = ideal.ambient_vars
+    return len({
+        tuple(map(add, g.exponents, m))
+        for g in ideal.generators if g.degree <= k
+        for m in degree_monomials(n, k - g.degree)
+    })
 
 
 def hilbert_quotient(ideal: MonomialIdeal, k: int) -> int:

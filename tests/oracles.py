@@ -24,7 +24,12 @@ def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def count_in_ideal(gens: list[tuple[int, ...]], n: int, k: int) -> int:
-    """Degree-k monomials divisible by at least one generator."""
+    """Degree-k monomials divisible by at least one generator.
+
+    This is the all-monomials reference for H(I, k): it scans every degree-k
+    monomial of the ring and tests it against every generator, while the
+    package builds I_k from the generators' multiples instead.
+    """
     return sum(
         1 for m in all_monomials(n, k) if any(divides(g, m) for g in gens)
     )

@@ -132,6 +132,12 @@ class TestGotzmann:
         assert code == 0
         assert "Macaulay bound" in out and "59" in out
 
+    def test_graph_header_with_edge_fields_is_refused(self, capsys, write):
+        path = write("flat.graph", "3 1 2\n")
+        code, out, err = run(capsys, "gotzmann", "--graph", path)
+        assert code == 2
+        assert out == "" and "line 1" in err
+
     def test_machine_output_stable(self, capsys, write):
         path = write("star.graph", STAR7_GRAPH)
         _, first, _ = run(capsys, "gotzmann", "--graph", path, "--machine")

@@ -46,6 +46,12 @@ class TestIdealFiles:
         with pytest.raises(InputFormatError, match="line 1"):
             parse_ideal("zero\n1:1\n")
 
+    def test_header_with_extra_fields_names_the_line(self):
+        with pytest.raises(InputFormatError, match="line 2"):
+            parse_ideal("# comment\n3 2 1\n1:2\n")
+        with pytest.raises(InputFormatError, match="line 1: generation degree"):
+            parse_ideal("3 0\n")
+
 
 class TestGraphFiles:
     def test_parse_basic(self):
@@ -65,6 +71,10 @@ class TestGraphFiles:
             parse_graph("3\n1 2\n1 2 3\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_graph("")
+
+    def test_header_with_extra_fields_names_the_line(self):
+        with pytest.raises(InputFormatError, match="line 1"):
+            parse_graph("3 1 2\n")
 
 
 class TestComplexFiles:
@@ -88,3 +98,7 @@ class TestComplexFiles:
             parse_complex("3\n1 1\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_complex("3\n")
+
+    def test_header_with_extra_fields_names_the_line(self):
+        with pytest.raises(InputFormatError, match="line 1"):
+            parse_complex("3 1 2\n1 2\n")

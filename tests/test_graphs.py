@@ -16,7 +16,7 @@ from gotzmann.graphs import (
     is_star,
     non_edge_count,
 )
-from gotzmann.monomials import hilbert_ideal
+from gotzmann.monomials import Monomial, MonomialIdeal, hilbert_ideal
 from oracles import independent_sets_of_size
 
 STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
@@ -69,6 +69,13 @@ class TestEdgeIdeal:
     def test_edgeless_gives_zero_ideal(self):
         i = edge_ideal(Graph.from_edge_list(3, []))
         assert i.is_zero and i.generation_degree == 2
+
+    def test_equals_normalized_construction(self):
+        for n in range(1, 5):
+            for mask in range(1 << len(edge_pairs(n))):
+                g = Graph.from_edge_mask(n, mask)
+                gens = [Monomial.squarefree(n, e) for e in g.edges]
+                assert edge_ideal(g) == MonomialIdeal.from_generators(n, gens, degree=2)
 
     def test_triangle(self):
         i = edge_ideal(TRIANGLE)
