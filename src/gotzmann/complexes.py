@@ -1,8 +1,8 @@
 """Simplicial complexes, the Stanley-Reisner correspondence and f-vectors.
 
-Complexes are stored by their facets; faces are enumerated on demand.  Ground
-sets in this package stay small (about ten vertices), so enumeration is cheap
-and the facet representation is canonical.
+Complexes are stored as their full face sets; facets are derived when asked
+for.  Ground sets in this package stay small (about ten vertices), so every
+face fits in memory and the face set is canonical.
 """
 from __future__ import annotations
 
@@ -15,6 +15,11 @@ from .combinatorics import binomial, kruskal_katona_pseudopower, minimal_element
 from .monomials import Monomial, MonomialIdeal
 
 
+def _subsets(vertices: Iterable[int], sizes: Iterable[int]) -> Iterator[frozenset[int]]:
+    """The subsets of ``vertices`` with the given sizes, smallest sizes first."""
+    return (frozenset(c) for size in sizes for c in combinations(vertices, size))
+
+
 def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     """The distinct faces contained in no other face."""
     return minimal_elements(faces, lambda f: -len(f), frozenset.__gt__)
@@ -22,52 +27,52 @@ def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed set family on vertices 1..ground_size, given by facets.
+    """A downward-closed set family on vertices 1..ground_size, stored as all
+    of its faces.
 
-    The complex consisting of only the empty face is represented by the single
-    facet frozenset(); a complex with no faces at all is rejected.
+    The empty face is always present; the complex consisting of only the empty
+    face is frozenset({frozenset()}).
     """
 
     ground_size: int
-    facets: frozenset[frozenset[int]]
+    faces: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
         if self.ground_size < 1:
             raise ValueError("ground set must be non-empty")
-        if not self.facets:
-            raise ValueError("complex must contain at least the empty face")
-        for facet in self.facets:
-            for v in facet:
+        if frozenset() not in self.faces:
+            raise ValueError("complex must contain the empty face")
+        # Closed under removing one vertex means downward closed, by induction.
+        for face in self.faces:
+            for v in face:
                 if not 1 <= v <= self.ground_size:
                     raise ValueError(f"vertex {v} outside 1..{self.ground_size}")
-        if len(_maximal_faces(self.facets)) != len(self.facets):
-            raise ValueError("facets must be pairwise incomparable")
+                if face - {v} not in self.faces:
+                    raise ValueError(f"face {sorted(face)} lacks its subface without {v}")
 
     @classmethod
     def from_faces(
         cls, ground_size: int, faces: Iterable[Iterable[int]]
     ) -> SimplicialComplex:
-        """Build a complex from any face list by extracting the maximal ones."""
-        face_sets = [frozenset(), *map(frozenset, faces)]
-        return cls(ground_size, frozenset(_maximal_faces(face_sets)))
+        """Build the smallest complex containing the given faces: all their subsets."""
+        closure = {frozenset()}
+        for face in map(frozenset, faces):
+            if face not in closure:
+                closure.update(_subsets(face, range(len(face) + 1)))
+        return cls(ground_size, frozenset(closure))
+
+    @property
+    def facets(self) -> frozenset[frozenset[int]]:
+        """The faces contained in no other face."""
+        return frozenset(_maximal_faces(self.faces))
 
     @property
     def dimension(self) -> int:
         """Largest face dimension; -1 for the complex with only the empty face."""
-        return max(len(f) for f in self.facets) - 1
-
-    def faces(self) -> frozenset[frozenset[int]]:
-        """All faces, including the empty face."""
-        out: set[frozenset[int]] = set()
-        for facet in self.facets:
-            members = sorted(facet)
-            for size in range(len(members) + 1):
-                out.update(frozenset(c) for c in combinations(members, size))
-        return frozenset(out)
+        return max(map(len, self.faces)) - 1
 
     def is_face(self, vertices: Iterable[int]) -> bool:
-        s = frozenset(vertices)
-        return any(s <= facet for facet in self.facets)
+        return frozenset(vertices) in self.faces
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,9 @@ def _independent_sets(
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
     supports = [g.support for g in ideal.generators]
-    for size in sizes:
-        for combo in combinations(range(1, ideal.ambient_vars + 1), size):
-            s = frozenset(combo)
-            if not any(sup <= s for sup in supports):
-                yield s
+    for s in _subsets(range(1, ideal.ambient_vars + 1), sizes):
+        if not any(sup <= s for sup in supports):
+            yield s
 
 
 def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
@@ -129,32 +132,29 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces are the vertex sets whose square-free product is not in the ideal."""
     n = ideal.ambient_vars
-    return SimplicialComplex.from_faces(n, _independent_sets(ideal, range(n + 1)))
+    return SimplicialComplex(n, frozenset(_independent_sets(ideal, range(n + 1))))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     """Minimal non-faces, as square-free monomials.
 
+    A non-face is minimal exactly when removing any one vertex gives a face.
     Returned as a raw generator set, not a MonomialIdeal: the minimal
     non-faces of an arbitrary complex need not all have the same degree.
     """
     n = complex_.ground_size
-    face_set = complex_.faces()
-    non_faces = (
-        s for size in range(1, n + 1)
-        for s in map(frozenset, combinations(range(1, n + 1), size))
-        if s not in face_set
-    )
+    faces = complex_.faces
     return frozenset(
         Monomial.squarefree(n, s)
-        for s in minimal_elements(non_faces, len, frozenset.__lt__)
+        for s in _subsets(range(1, n + 1), range(1, n + 1))
+        if s not in faces and all(s - {v} in faces for v in s)
     )
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:
-    """Exact face counts by dimension, by enumerating subsets of the facets."""
-    counts = Counter(len(face) for face in complex_.faces())
-    return FVector(tuple(counts[size] for size in range(1, complex_.dimension + 2)))
+    """Exact face counts by dimension, counted over the stored faces."""
+    counts = Counter(map(len, complex_.faces))
+    return FVector(tuple(counts[size] for size in range(1, max(counts) + 1)))
 
 
 def hilbert_stanley_reisner(fv: FVector, k: int) -> int:
@@ -189,14 +189,15 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
     """The compressed complex realizing a valid f-vector.
 
     Its i-dimensional faces are the first f_i (i+1)-subsets in colexicographic
-    order; validity of the f-vector guarantees downward closure.
+    order.  By Kruskal-Katona, validity of the f-vector makes this family
+    downward closed; the SimplicialComplex constructor checks that it is.
     """
     if not is_valid_f_vector(fv):
         raise ValueError("not a valid f-vector")
     if not fv.counts:
         raise ValueError("empty f-vector has no compressed complex")
     ground = fv.counts[0]
-    faces: list[frozenset[int]] = []
+    faces = {frozenset()}
     for i, f_i in enumerate(fv.counts):
-        faces.extend(frozenset(s) for s in colex_subsets(ground, i + 1)[:f_i])
-    return SimplicialComplex.from_faces(ground, faces)
+        faces.update(map(frozenset, colex_subsets(ground, i + 1)[:f_i]))
+    return SimplicialComplex(ground, frozenset(faces))

@@ -8,7 +8,7 @@ every closed form elsewhere in the package is cross-checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, attrgetter
 from typing import Iterable
 
@@ -137,13 +137,7 @@ class MonomialIdeal:
     def is_equigenerated(self) -> bool:
         return self.generation_degree is not None
 
-    @property
-    def min_generator_degree(self) -> int | None:
-        if self.generation_degree is not None:
-            return self.generation_degree
-        return min((g.degree for g in self.generators), default=None)
-
-    @property
+    @cached_property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.generators)
 

@@ -22,6 +22,7 @@ from gotzmann.monomials import (
     MonomialIdeal,
     hilbert_quotient,
 )
+from oracles import minimal_under
 
 def sf_ideal(n, *supports):
     return MonomialIdeal.from_generators(
@@ -54,6 +55,15 @@ class TestSimplicialComplex:
                 3, frozenset({frozenset({1}), frozenset({1, 2})})
             )
 
+    @pytest.mark.parametrize("faces", [set(), {frozenset({1})}])
+    def test_empty_face_required(self, faces):
+        with pytest.raises(ValueError):
+            SimplicialComplex(3, frozenset(faces))
+
+    def test_subfaces_required(self):
+        with pytest.raises(ValueError):
+            SimplicialComplex(3, frozenset({frozenset(), frozenset({1, 2})}))
+
     def test_from_faces_extracts_maximal(self):
         c = SimplicialComplex.from_faces(3, [{1}, {1, 2}, {3}])
         assert c.facets == frozenset({frozenset({1, 2}), frozenset({3})})
@@ -65,7 +75,7 @@ class TestSimplicialComplex:
     def test_faces_and_dimension(self):
         c = SimplicialComplex.from_faces(3, [{1, 2, 3}])
         assert c.dimension == 2
-        assert len(c.faces()) == 8  # includes the empty face
+        assert len(c.faces) == 8  # includes the empty face
         assert c.is_face({1, 3})
         assert not SimplicialComplex.from_faces(3, [{1, 2}]).is_face({1, 3})
 
@@ -111,6 +121,30 @@ class TestIdealOfComplex:
     def test_two_points(self):
         c = SimplicialComplex.from_faces(2, [{1}, {2}])
         assert ideal_of_complex(c) == frozenset({Monomial((1, 1))})
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_drawn_faces(self, data):
+        n = data.draw(st.integers(1, 5))
+        drawn = data.draw(st.lists(
+            st.frozensets(st.integers(1, n), max_size=n), max_size=6
+        ))
+        c = SimplicialComplex.from_faces(n, drawn)
+        closure = {frozenset()} | {
+            frozenset(sub) for f in drawn
+            for size in range(len(f) + 1) for sub in combinations(sorted(f), size)
+        }
+        assert c.faces == closure
+        non_faces = [
+            s for size in range(1, n + 1)
+            for s in map(frozenset, combinations(range(1, n + 1), size))
+            if not any(s <= f for f in drawn)
+        ]
+        expected = {
+            tuple(int(v in s) for v in range(1, n + 1))
+            for s in minimal_under(non_faces, frozenset.__le__)
+        }
+        assert {m.exponents for m in ideal_of_complex(c)} == expected
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

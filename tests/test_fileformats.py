@@ -87,6 +87,10 @@ class TestComplexFiles:
         c = parse_complex("3\n1 2\n1\n")
         assert c.facets == frozenset({frozenset({1, 2})})
 
+    def test_format_is_byte_stable(self):
+        c = parse_complex("4\n1 3\n2 3 4\n1 2\n1\n")
+        assert format_complex(c) == "4\n1 2\n1 3\n2 3 4\n"
+
     def test_round_trip(self):
         c = parse_complex("4\n2 3 4\n1 2\n1 3\n")
         assert parse_complex(format_complex(c)) == c

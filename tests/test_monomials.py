@@ -67,7 +67,6 @@ class TestMonomialIdeal:
 
     def test_mixed_degrees_allowed(self):
         assert not PAPER_EXAMPLE.is_equigenerated
-        assert PAPER_EXAMPLE.min_generator_degree == 2
 
     def test_zero_ideal_needs_degree(self):
         with pytest.raises(ValueError):
