@@ -1,8 +1,8 @@
 """The Gotzmann certifier and the exhaustive star-graph theorem verifier.
 
-The certifier recomputes every Hilbert value from scratch via monomial
-enumeration; the degree-two closed forms in this module are cross-checks,
-never sources of truth.
+The certifier recomputes every Hilbert value by monomial enumeration.  The
+verifier walks all edge subsets depth first, ORing cached per-edge bitsets of
+degree-3 multiples, so H(I, 3) is a popcount.  Closed forms are cross-checks.
 """
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .combinatorics import kruskal_katona_pseudopower, macaulay_pseudopower
+from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .complexes import squarefree_face_count
 from .fileformats import format_graph
-from .graphs import Graph, edge_ideal, edge_pairs, is_star
-from .monomials import MonomialIdeal, hilbert_quotient
+from .graphs import Graph, edge_pairs
+from .monomials import Monomial, MonomialIdeal, degree_monomials, hilbert_quotient
 
 
 @dataclass(frozen=True)
@@ -111,98 +112,106 @@ class StarTheoremSummary:
     wall_time_seconds: float
 
 
-def _check_graph(g: Graph) -> tuple[bool, bool, str | None]:
-    """Check one graph; returns (is_star, is_gotzmann, failure description)."""
-    report = certify(edge_ideal(g))
-    star = is_star(g)
-    if report.is_gotzmann != star:
-        return star, report.is_gotzmann, (
-            f"certifier says is_gotzmann={report.is_gotzmann} "
-            f"but is_star={star}"
-        )
-    if report.is_gotzmann:
-        if not check_edge_bound(g):
-            return star, True, (
-                f"Gotzmann edge ideal with e={g.edge_count} >= n={g.vertex_count}"
-            )
-        if report.square_free_check is not True:
-            return star, True, "Gotzmann square-free ideal fails f_d = f_(d-1)^(d)"
-    return star, report.is_gotzmann, None
+@lru_cache(maxsize=None)
+def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Per edge of edge_pairs(n), its degree-3 multiples as a bitset over
+    degree_monomials(n, 3) and its vertex mask; and the bitset of the
+    square-free cubics, which are the 3-subsets."""
+    cubics = [Monomial(m) for m in degree_monomials(n, 3)]
+    generators = [Monomial.squarefree(n, p) for p in edge_pairs(n)]
+    edges = tuple((sum(1 << i for i, m in enumerate(cubics) if g.divides(m)),
+                   sum(1 << v for v in g.support)) for g in generators)
+    return edges, sum(1 << i for i, m in enumerate(cubics) if m.is_squarefree)
 
 
 def _check_mask_range(args: tuple[int, int, int]) -> tuple[int, int, int, tuple[int, int, str] | None]:
-    """Worker: check masks [start, stop) on n vertices.
-
-    Returns (checked, stars, gotzmann, first failure as (n, mask, reason)).
-    Counts are merged commutatively, so any partition of the mask space
-    yields the same summary.
-    """
+    """Worker: check the edge masks [start, stop) on n vertices, depth first
+    from the highest edge bit down and so in increasing order.  Returns
+    (checked, stars, gotzmann, first failure as (n, mask, reason))."""
     n, start, stop = args
-    checked = stars = gotzmann = 0
-    failure = None
-    for mask in range(start, stop):
-        g = Graph.from_edge_mask(n, mask)
-        star, gotz, reason = _check_graph(g)
-        checked += 1
-        stars += star
-        gotzmann += gotz
-        if reason is not None and failure is None:
-            failure = (n, mask, reason)
-    return checked, stars, gotzmann, failure
+    edges, squarefree = _edge_tables(n)
+    if not 0 <= start <= stop <= 1 << len(edges):
+        raise ValueError("edge mask out of range")
+    ring3, faces3 = binomial(n + 2, 3), binomial(n, 3)
+    found: list = [0, 0, None]  # stars, Gotzmann verdicts, first failure
+    bounds: dict[int, tuple[int, int]] = {}  # per edge count: Macaulay and KK bounds
+
+    def walk(free: int, mask: int, multiples: int, common: int) -> None:
+        # The edge bits from `free` up are fixed: the subtree is mask + [0, 2^free).
+        if mask >= stop or mask + (1 << free) <= start:
+            return
+        if free:
+            free -= 1
+            walk(free, mask, multiples, common)
+            m, v = edges[free]
+            walk(free, mask | 1 << free, multiples | m, common & v)
+            return
+        e, h3 = mask.bit_count(), ring3 - multiples.bit_count()
+        macaulay, kk = bounds.get(e) or bounds.setdefault(e, (
+            macaulay_pseudopower(binomial(n + 1, 2) - e, 2),
+            kruskal_katona_pseudopower(binomial(n, 2) - e, 2)))
+        if h3 > macaulay:
+            raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
+        # The AND of no vertex masks is every vertex, so e <= 1 is a star.
+        star, gotz = common != 0, h3 == macaulay
+        if star or gotz:
+            found[0] += star
+            found[1] += gotz
+            f2 = faces3 - (multiples & squarefree).bit_count()
+            if found[2] is None and (gotz != star or gotz and (e >= n or f2 != kk)):
+                found[2] = (n, mask, f"is_gotzmann={gotz}, is_star={star}, e={e}, "
+                                     f"f_2={f2} against the Kruskal-Katona bound {kk}")
+
+    walk(len(edges), 0, 0, -1)
+    return stop - start, found[0], found[1], found[2]
 
 
 def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSummary:
     """Exhaustively verify, over every labeled graph on 1..max_vertices
     vertices, that the edge ideal is Gotzmann exactly for star graphs.
 
-    Also asserts on every Gotzmann instance that e < n and that the
-    square-free Kruskal-Katona equality f_d = f_{d-1}^(d) holds.  Any
-    violation raises StarTheoremMismatch carrying the offending graph; a
-    normal return therefore always reports zero mismatches.  max_vertices > 7
-    (hours of enumeration) and workers > CPU count raise ValueError up front.
+    Also checks on every Gotzmann instance that e < n and that f_d =
+    f_{d-1}^(d) (Kruskal-Katona).  A violation raises StarTheoremMismatch
+    carrying the graph, so a normal return reports zero mismatches; a star
+    count on n vertices other than 1 + C(n, 2) + n(2^(n-1) - n) raises
+    ArithmeticError.  max_vertices > 8 (2^36 graphs, about 13 hours) and
+    workers > CPU count raise ValueError.
     """
-    if not 1 <= max_vertices <= 7:
-        raise ValueError("max_vertices must be in 1..7")
+    if not 1 <= max_vertices <= 8:
+        raise ValueError("max_vertices must be in 1..8")
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be in 1..{cpus} (the CPU count)")
     start_time = time.perf_counter()
-    checked = stars = gotzmann = 0
-    failure: tuple[int, int, str] | None = None
 
+    # Aligned power-of-two blocks, so that each job is one subtree of the walk.
     jobs = []
     for n in range(1, max_vertices + 1):
-        total = 1 << len(edge_pairs(n))
-        step = (total + workers - 1) // workers
-        jobs.extend((n, lo, min(lo + step, total)) for lo in range(0, total, step))
+        step = 1 << max(len(edge_pairs(n)) - (workers - 1).bit_length(), 0)
+        jobs.extend((n, lo, lo + step) for lo in range(0, 1 << len(edge_pairs(n)), step))
 
     if workers == 1:
-        results = map(_check_mask_range, jobs)
+        results = list(map(_check_mask_range, jobs))
     else:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_check_mask_range, jobs)
 
-    for part_checked, part_stars, part_gotz, part_failure in results:
-        checked += part_checked
-        stars += part_stars
-        gotzmann += part_gotz
-        if part_failure is not None and failure is None:
-            failure = part_failure
-
+    failure = next(filter(None, (r[3] for r in results)), None)
     if failure is not None:
         n, mask, reason = failure
         g = Graph.from_edge_mask(n, mask)
-        raise StarTheoremMismatch(
-            f"counterexample on {n} vertices (edge mask {mask}): {reason}\n"
-            f"{format_graph(g)}",
-            g,
-        )
+        raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
+                                  f"{reason}\n{format_graph(g)}", g)
+    for n in range(1, max_vertices + 1):
+        stars = sum(r[1] for job, r in zip(jobs, results) if job[0] == n)
+        if stars != 1 + binomial(n, 2) + n * (2 ** (n - 1) - n):
+            raise ArithmeticError(f"{stars} labeled stars found on {n} vertices")
 
     return StarTheoremSummary(
         max_vertices=max_vertices,
-        graphs_checked=checked,
-        stars_found=stars,
-        gotzmann_found=gotzmann,
+        graphs_checked=sum(r[0] for r in results),
+        stars_found=sum(r[1] for r in results),
+        gotzmann_found=sum(r[2] for r in results),
         mismatches=0,
         wall_time_seconds=time.perf_counter() - start_time,
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 from typing import Iterable, Iterator
 
 from .combinatorics import binomial, kruskal_katona_pseudopower, minimal_elements
@@ -130,9 +130,10 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Faces are the vertex sets whose square-free product is not in the ideal."""
+    """Faces: vertex sets whose square-free product is not in the ideal, up to the first empty size."""
     n = ideal.ambient_vars
-    return SimplicialComplex(n, frozenset(_independent_sets(ideal, range(n + 1))))
+    levels = (frozenset(_independent_sets(ideal, (size,))) for size in range(n + 1))
+    return SimplicialComplex(n, frozenset().union(*takewhile(bool, levels)))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:

@@ -11,6 +11,8 @@ from .complexes import SimplicialComplex
 from .graphs import Graph
 from .monomials import Monomial, MonomialIdeal
 
+MAX_COMPLEX_FACES = 1 << 16  # cap on the sum of 2^|facet| over a complex file
+
 
 class InputFormatError(ValueError):
     """Malformed input file; the message names the offending line."""
@@ -148,6 +150,8 @@ def parse_complex(text: str) -> SimplicialComplex:
         facets.append(vertices)
     if not facets:
         raise InputFormatError("line 1: complex file lists no facets")
+    if sum(1 << len(f) for f in facets) > MAX_COMPLEX_FACES:
+        raise InputFormatError(f"complex file describes more than {MAX_COMPLEX_FACES} faces")
     return SimplicialComplex.from_faces(n, facets)
 
 

@@ -12,7 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from gotzmann.certifier import certify, gotzmann_value_deg2, verify_star_theorem
+from gotzmann.certifier import (
+    _check_mask_range,
+    certify,
+    gotzmann_value_deg2,
+    verify_star_theorem,
+)
 from gotzmann.cli import main
 from gotzmann.combinatorics import (
     binomial,
@@ -59,13 +64,17 @@ class CensusRecord:
 
 @pytest.fixture(scope="module")
 def census():
-    """Certify every labeled graph on 1..6 vertices, once for the whole suite."""
+    """Certify every labeled graph on 1..6 vertices, once for the whole suite,
+    and cross-check the verifier's kernel on each graph alone."""
     records = []
     for n in range(1, CENSUS_MAX_VERTICES + 1):
         for mask in range(1 << len(edge_pairs(n))):
             g = Graph.from_edge_mask(n, mask)
             ideal = edge_ideal(g)
             report = certify(ideal)
+            assert _check_mask_range((n, mask, mask + 1)) == (
+                1, is_star(g), report.is_gotzmann, None
+            )
             counts = [squarefree_face_count(ideal, size) for size in range(1, n + 1)]
             while counts and counts[-1] == 0:
                 counts.pop()

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import certifier
 from gotzmann.certifier import (
     GotzmannReport,
+    StarTheoremMismatch,
+    _check_mask_range,
     certify,
     check_edge_bound,
     gotzmann_value_deg2,
@@ -14,6 +17,7 @@ from gotzmann.graphs import Graph, edge_ideal, edge_pairs
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
+    degree_monomials,
     hilbert_ideal,
     lex_segment_ideal,
 )
@@ -151,22 +155,69 @@ class TestVerifyStarTheorem:
         assert summary.mismatches == 0
 
     def test_workers_agree_with_single_thread(self):
-        serial = verify_star_theorem(4)
-        parallel = verify_star_theorem(4, workers=2)
-        assert (
-            serial.graphs_checked,
-            serial.stars_found,
-            serial.gotzmann_found,
-            serial.mismatches,
-        ) == (
-            parallel.graphs_checked,
-            parallel.stars_found,
-            parallel.gotzmann_found,
-            parallel.mismatches,
-        )
+        for max_vertices in (4, 5):
+            serial = verify_star_theorem(max_vertices)
+            parallel = verify_star_theorem(max_vertices, workers=2)
+            assert (
+                serial.graphs_checked,
+                serial.stars_found,
+                serial.gotzmann_found,
+                serial.mismatches,
+            ) == (
+                parallel.graphs_checked,
+                parallel.stars_found,
+                parallel.gotzmann_found,
+                parallel.mismatches,
+            )
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_star_theorem(0)
         with pytest.raises(ValueError):
+            verify_star_theorem(9)
+        with pytest.raises(ValueError):
             verify_star_theorem(3, workers=0)
+
+    def test_wrong_table_entry_reports_its_graph(self, monkeypatch):
+        # Count x3^3, which no edge ideal contains, as a multiple of x1*x2 on
+        # four vertices: every star through edge 12 turns non-Gotzmann, and
+        # the single edge 12 (mask 1) is the lowest such mask.
+        cached = certifier._edge_tables
+        edges, squarefree = cached(4)
+        (multiples, vertices), *rest = edges
+        wrong = multiples | 1 << degree_monomials(4, 3).index((0, 0, 3, 0))
+        monkeypatch.setattr(
+            certifier, "_edge_tables",
+            lambda n: (((wrong, vertices), *rest), squarefree) if n == 4 else cached(n),
+        )
+        with pytest.raises(StarTheoremMismatch) as info:
+            verify_star_theorem(4)
+        assert info.value.graph == Graph.from_edge_mask(4, 1)
+        assert "is_gotzmann=False, is_star=True" in str(info.value)
+
+    def test_star_count_is_checked_per_vertex_count(self, monkeypatch):
+        def one_star_too_many(job):
+            checked, stars, gotz, failure = _check_mask_range(job)
+            return checked, stars + (job[0] == 3), gotz + (job[0] == 3), failure
+
+        monkeypatch.setattr(certifier, "_check_mask_range", one_star_too_many)
+        with pytest.raises(ArithmeticError, match="on 3 vertices"):
+            verify_star_theorem(4)
+
+
+class TestCheckMaskRange:
+    def test_any_range_equals_its_single_masks(self):
+        singles = [_check_mask_range((5, m, m + 1)) for m in range(3, 1000)]
+        assert _check_mask_range((5, 3, 1000)) == (
+            997,
+            sum(r[1] for r in singles),
+            sum(r[2] for r in singles),
+            None,
+        )
+        assert _check_mask_range((5, 5, 5)) == (0, 0, 0, None)
+
+    def test_out_of_range_masks(self):
+        with pytest.raises(ValueError):
+            _check_mask_range((3, 0, 9))
+        with pytest.raises(ValueError):
+            _check_mask_range((3, 2, 1))

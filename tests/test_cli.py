@@ -94,6 +94,12 @@ class TestFvector:
         code, out, _ = run(capsys, "fvector", "--complex", path)
         assert (code, out) == (0, "4 5 1\n")
 
+    def test_oversized_complex_is_refused(self, capsys, write):
+        path = write("big.cpx", "18\n" + " ".join(map(str, range(1, 19))) + "\n")
+        code, _, err = run(capsys, "fvector", "--complex", path)
+        assert code == 2
+        assert "faces" in err
+
     def test_machine(self, capsys, write):
         path = write("ex.ideal", PAPER_EXAMPLE_IDEAL)
         code, out, _ = run(capsys, "fvector", "--ideal", path, "--machine")
@@ -164,7 +170,7 @@ class TestVerify:
         assert first == second
 
     def test_refuses_hours_long_vertex_count(self, capsys):
-        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "8")
+        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "9")
         assert code == 2
         assert "max_vertices" in err
 

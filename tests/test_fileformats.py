@@ -1,7 +1,10 @@
 """Tests for the plain-text ideal, graph and complex file formats."""
+import time
+
 import pytest
 
 from gotzmann.fileformats import (
+    MAX_COMPLEX_FACES,
     InputFormatError,
     format_complex,
     format_graph,
@@ -106,3 +109,17 @@ class TestComplexFiles:
     def test_header_with_extra_fields_names_the_line(self):
         with pytest.raises(InputFormatError, match="line 1"):
             parse_complex("3 1 2\n1 2\n")
+
+    def test_oversized_facet_refused_before_faces_are_built(self):
+        assert 1 << 18 > MAX_COMPLEX_FACES
+        started = time.perf_counter()
+        with pytest.raises(InputFormatError, match="faces"):
+            parse_complex("18\n" + " ".join(map(str, range(1, 19))) + "\n")
+        assert time.perf_counter() - started < 0.5
+
+    def test_face_bound_sums_over_facets(self):
+        # 17 facets of 12 vertices each: no facet alone passes the cap
+        facets = [range(v, v + 12) for v in range(1, 18)]
+        assert 1 << 12 <= MAX_COMPLEX_FACES < 17 << 12
+        with pytest.raises(InputFormatError, match="faces"):
+            parse_complex("28\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets))
