@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import Callable, Iterable
 
+MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes for b_d
+
 
 def binomial(p: int, q: int) -> int:
     """Binomial coefficient C(p, q), with the convention C(p, q) = 0 for p < q."""
@@ -72,6 +74,13 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         raise ValueError("a must be non-negative")
     if d < 1:
         raise ValueError("d must be positive")
+    # b_d takes b_d - d + 1 steps, more than the cap exactly when C(d + cap, d)
+    # <= a.  That binomial is at least 2^min(d, cap), so a shorter a is accepted
+    # without building it.
+    if a.bit_length() > min(d, MAX_BASE_STEPS) and binomial(d + MAX_BASE_STEPS, d) <= a:
+        raise ValueError(
+            f"a = {a} at d = {d} needs more than {MAX_BASE_STEPS} steps for b_{d}"
+        )
     coefficients = []
     remainder = a
     for i in range(d, 0, -1):

@@ -1,23 +1,30 @@
 """Simplicial complexes, the Stanley-Reisner correspondence and f-vectors.
 
 Complexes are stored as their full face sets; facets are derived when asked
-for.  Ground sets in this package stay small (about ten vertices), so every
-face fits in memory and the face set is canonical.
+for.  Every face is held in memory, so a complex may have at most
+MAX_COMPLEX_FACES faces: complex files larger than that are refused when
+parsed, and Stanley-Reisner complexes while their faces are grown.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, takewhile
-from typing import Iterable, Iterator
+from itertools import combinations, islice
+from typing import Collection, Iterable, Iterator
 
 from .combinatorics import binomial, kruskal_katona_pseudopower, minimal_elements
 from .monomials import Monomial, MonomialIdeal
 
+MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
 
-def _subsets(vertices: Iterable[int], sizes: Iterable[int]) -> Iterator[frozenset[int]]:
-    """The subsets of ``vertices`` with the given sizes, smallest sizes first."""
-    return (frozenset(c) for size in sizes for c in combinations(vertices, size))
+
+def _extensions(family: Collection[frozenset[int]], n: int) -> Iterator[frozenset[int]]:
+    """The subsets of 1..n, one vertex larger than some member, whose one-vertex
+    deletions all lie in ``family``; each is grown once, from itself minus its max."""
+    for s in family:
+        for v in range(max(s, default=0) + 1, n + 1):
+            if all(s - {u} | {v} in family for u in s):
+                yield s | {v}
 
 
 def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
@@ -58,7 +65,8 @@ class SimplicialComplex:
         closure = {frozenset()}
         for face in map(frozenset, faces):
             if face not in closure:
-                closure.update(_subsets(face, range(len(face) + 1)))
+                for size in range(1, len(face) + 1):
+                    closure.update(map(frozenset, combinations(face, size)))
         return cls(ground_size, frozenset(closure))
 
     @property
@@ -108,47 +116,50 @@ class FVector:
         return len(self.counts)
 
 
-def _independent_sets(
-    ideal: MonomialIdeal, sizes: Iterable[int]
-) -> Iterator[frozenset[int]]:
-    """Vertex sets of the given sizes that contain no generator's support."""
+def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[frozenset[int]]]:
+    """The Stanley-Reisner faces by size, from {∅} to the last size with any;
+    ValueError once there are more than MAX_COMPLEX_FACES of them."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
-    supports = [g.support for g in ideal.generators]
-    for s in _subsets(range(1, ideal.ambient_vars + 1), sizes):
-        if not any(sup <= s for sup in supports):
-            yield s
+    supports = {g.support for g in ideal.generators}
+    level, total = frozenset({frozenset()}), 1
+    while level:
+        yield level
+        # A set whose one-vertex deletions are faces contains a support only if it is one.
+        grown = (s for s in _extensions(level, ideal.ambient_vars) if s not in supports)
+        level = frozenset(islice(grown, MAX_COMPLEX_FACES - total + 1))  # at most one past the cap
+        total += len(level)
+        if total > MAX_COMPLEX_FACES:
+            raise ValueError(f"Stanley-Reisner complex has more than {MAX_COMPLEX_FACES} faces")
 
 
 def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
     """Number of size-element vertex sets whose product lies outside the ideal.
 
     This is entry f_{size-1} of the Stanley-Reisner complex's f-vector,
-    computed without materializing the complex.
+    computed from the faces of at most that size.
     """
-    return sum(1 for _ in _independent_sets(ideal, (size,)))
+    return len(next(islice(_face_levels(ideal), size, None), ()))
 
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Faces: vertex sets whose square-free product is not in the ideal, up to the first empty size."""
-    n = ideal.ambient_vars
-    levels = (frozenset(_independent_sets(ideal, (size,))) for size in range(n + 1))
-    return SimplicialComplex(n, frozenset().union(*takewhile(bool, levels)))
+    """Faces: vertex sets whose square-free product is not in the ideal."""
+    return SimplicialComplex(ideal.ambient_vars, frozenset().union(*_face_levels(ideal)))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     """Minimal non-faces, as square-free monomials.
 
-    A non-face is minimal exactly when removing any one vertex gives a face.
-    Returned as a raw generator set, not a MonomialIdeal: the minimal
-    non-faces of an arbitrary complex need not all have the same degree.
+    A non-face is minimal exactly when removing any one vertex gives a face,
+    so these are the extensions of the faces that are not faces.  Returned
+    as a raw generator set, not a MonomialIdeal: the minimal non-faces of an
+    arbitrary complex need not all have the same degree.
     """
     n = complex_.ground_size
-    faces = complex_.faces
     return frozenset(
         Monomial.squarefree(n, s)
-        for s in _subsets(range(1, n + 1), range(1, n + 1))
-        if s not in faces and all(s - {v} in faces for v in s)
+        for s in _extensions(complex_.faces, n)
+        if s not in complex_.faces
     )
 
 

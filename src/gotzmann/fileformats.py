@@ -7,11 +7,9 @@ lines starting with ``#`` are comments.  Variables and vertices are
 """
 from __future__ import annotations
 
-from .complexes import SimplicialComplex
+from .complexes import MAX_COMPLEX_FACES, SimplicialComplex
 from .graphs import Graph
 from .monomials import Monomial, MonomialIdeal
-
-MAX_COMPLEX_FACES = 1 << 16  # cap on the sum of 2^|facet| over a complex file
 
 
 class InputFormatError(ValueError):

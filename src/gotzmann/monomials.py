@@ -169,17 +169,21 @@ def hilbert_ring(n: int, k: int) -> int:
     return binomial(n + k - 1, n - 1)
 
 
-def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:
-    """H(I, k) by enumeration: I_k is the set of products g * m over the
-    generators g of degree at most k and the monomials m of degree k - deg g."""
+def degree_part(ideal: MonomialIdeal, k: int) -> set[tuple[int, ...]]:
+    """I_k as exponent vectors: the products g * m over the generators g of
+    degree at most k and the monomials m of degree k - deg g."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    n = ideal.ambient_vars
-    return len({
+    return {
         tuple(map(add, g.exponents, m))
         for g in ideal.generators if g.degree <= k
-        for m in degree_monomials(n, k - g.degree)
-    })
+        for m in degree_monomials(ideal.ambient_vars, k - g.degree)
+    }
+
+
+def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:
+    """H(I, k) by enumeration: the size of I_k."""
+    return len(degree_part(ideal, k))
 
 
 def hilbert_quotient(ideal: MonomialIdeal, k: int) -> int:

@@ -54,6 +54,17 @@ def independent_sets_of_size(n: int, edges: set[frozenset[int]], size: int) -> i
     return count
 
 
+def stanley_reisner_faces(n: int, supports: list[set[int]]) -> set[frozenset[int]]:
+    """Subsets of 1..n, of every size, containing no support: each tested
+    against every support, with no growth from smaller faces."""
+    return {
+        frozenset(combo)
+        for size in range(n + 1)
+        for combo in combinations(range(1, n + 1), size)
+        if not any(sup <= set(combo) for sup in supports)
+    }
+
+
 def minimal_under(items, le) -> set:
     """Distinct items x such that no other item y has le(y, x), by all pairs."""
     distinct = set(items)

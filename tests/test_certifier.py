@@ -1,4 +1,6 @@
 """Tests for the Gotzmann certifier, closed forms and the theorem verifier."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from gotzmann.certifier import (
     gotzmann_value_deg2,
     verify_star_theorem,
 )
+from gotzmann.combinatorics import kruskal_katona_pseudopower
 from gotzmann.graphs import Graph, edge_ideal, edge_pairs
 from gotzmann.monomials import (
     Monomial,
@@ -21,6 +24,7 @@ from gotzmann.monomials import (
     hilbert_ideal,
     lex_segment_ideal,
 )
+from oracles import stanley_reisner_faces
 
 STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
 TRIANGLE = Graph.from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
@@ -56,6 +60,24 @@ class TestCertify:
         )
         with pytest.raises(ValueError):
             certify(mixed)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_square_free_check_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, min(n, 3)))
+        supports = data.draw(st.lists(
+            st.sampled_from(list(combinations(range(1, n + 1), d))), unique=True
+        ))
+        ideal = MonomialIdeal.from_generators(
+            n, [Monomial.squarefree(n, s) for s in supports], degree=d
+        )
+        faces = stanley_reisner_faces(n, [set(s) for s in supports])
+        f_prev = sum(len(f) == d for f in faces)
+        f_top = sum(len(f) == d + 1 for f in faces)
+        assert certify(ideal).square_free_check == (
+            f_top == kruskal_katona_pseudopower(f_prev, d)
+        )
 
     def test_report_consistency_enforced(self):
         with pytest.raises(AssertionError):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import os
+import time
 
 import pytest
 
@@ -42,6 +43,26 @@ class TestMacaulayRep:
         assert code == 2
         assert "error:" in err
 
+    def test_base_search_cap_both_sides(self, capsys):
+        # at d = 1 the base search takes a steps; the cap is 10^7
+        code, out, _ = run(capsys, "macaulay-rep", "10000000", "1", "--machine")
+        assert (code, out) == (0, "a=10000000\nd=1\ncoefficients=10000000\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "macaulay-rep", "10000001", "1")
+        assert (code, out) == (2, "")
+        assert "more than 10000000 steps" in err
+        code, _, err = run(capsys, "macaulay-rep", "1000000000000", "1")
+        assert code == 2
+        assert time.perf_counter() - started < 1.0
+
+    def test_huge_degree_is_prompt(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "macaulay-rep", "5", "100000", "--machine")
+        assert code == 0
+        assert out.startswith("a=5\nd=100000\ncoefficients=100000 99999 ")
+        # C(100000 + 10^7, 100000) alone would take about a second to build
+        assert time.perf_counter() - started < 0.5
+
 
 class TestPseudopower:
     def test_macaulay(self, capsys):
@@ -55,6 +76,12 @@ class TestPseudopower:
     def test_machine(self, capsys):
         code, out, _ = run(capsys, "pseudopower", "--macaulay", "5", "2", "--machine")
         assert (code, out) == (0, "value=7\n")
+
+    @pytest.mark.parametrize("kind", ["--macaulay", "--kk"])
+    def test_base_search_cap(self, capsys, kind):
+        code, out, err = run(capsys, "pseudopower", kind, "1000000000000", "1")
+        assert (code, out) == (2, "")
+        assert "steps" in err
 
 
 class TestHilbert:
@@ -99,6 +126,15 @@ class TestFvector:
         code, _, err = run(capsys, "fvector", "--complex", path)
         assert code == 2
         assert "faces" in err
+
+    def test_oversized_stanley_reisner_complex_is_refused(self, capsys, write):
+        # one quadric on 30 variables leaves 2^30 - 2^28 faces
+        path = write("wide.ideal", "30\n1:1 2:1\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "fvector", "--ideal", path)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 65536 faces" in err
 
     def test_machine(self, capsys, write):
         path = write("ex.ideal", PAPER_EXAMPLE_IDEAL)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import combinatorics
 from gotzmann.combinatorics import (
+    MAX_BASE_STEPS,
     MacaulayRep,
     binomial,
     kruskal_katona_pseudopower,
@@ -98,6 +100,42 @@ class TestMacaulayRep:
                     ) == a
                 ]
                 assert matches == [macaulay_rep(a, d).coefficients]
+
+
+class TestBaseSearchCap:
+    # b_d is searched from d - 1 upward, so C(d + cap, d) is the least a
+    # whose b_d needs more than cap steps.
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_both_sides_of_a_small_cap(self, monkeypatch, d):
+        monkeypatch.setattr(combinatorics, "MAX_BASE_STEPS", 50)
+        limit = binomial(d + 50, d)
+        assert macaulay_rep(limit - 1, d).coefficients[0] == d + 49
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            macaulay_rep(limit, d)
+        with pytest.raises(ValueError):
+            macaulay_pseudopower(limit, d)
+        with pytest.raises(ValueError):
+            kruskal_katona_pseudopower(limit, d)
+
+    def test_real_cap_refuses_without_searching(self):
+        with pytest.raises(ValueError):
+            macaulay_rep(MAX_BASE_STEPS + 1, 1)
+        with pytest.raises(ValueError):
+            macaulay_rep(10 ** 12, 1)
+        with pytest.raises(ValueError):
+            macaulay_rep(binomial(4 + MAX_BASE_STEPS, 4), 4)
+
+    def test_benchmark_range_accepted(self):
+        # a < 10^6 at d = 1 and a < 10^12 at d = 2..8
+        assert macaulay_rep(10 ** 6 - 1, 1).value() == 10 ** 6 - 1
+        for d in range(2, 9):
+            assert macaulay_rep(10 ** 12 - 1, d).value() == 10 ** 12 - 1
+
+    def test_short_a_at_huge_degree(self):
+        # a < 2^d needs no binomial C(d + cap, d) to be accepted
+        rep = macaulay_rep(5, 100_000)
+        assert rep.value() == 5
+        assert rep.coefficients[:2] == (100_000, 99_999)
 
 
 class TestPseudoPowers:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import complexes
 from gotzmann.complexes import (
+    MAX_COMPLEX_FACES,
     FVector,
     SimplicialComplex,
     colex_subsets,
@@ -22,7 +24,7 @@ from gotzmann.monomials import (
     MonomialIdeal,
     hilbert_quotient,
 )
-from oracles import minimal_under
+from oracles import minimal_under, stanley_reisner_faces
 
 def sf_ideal(n, *supports):
     return MonomialIdeal.from_generators(
@@ -100,6 +102,34 @@ class TestStanleyReisner:
         i = MonomialIdeal.from_generators(2, [Monomial((2, 0))])
         with pytest.raises(ValueError):
             stanley_reisner_complex(i)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_faces_match_oracle(self, data):
+        i = random_squarefree_ideals()(data)
+        n = i.ambient_vars
+        expected = stanley_reisner_faces(n, [g.support for g in i.generators])
+        assert stanley_reisner_complex(i).faces == expected
+        for k in range(n + 2):
+            assert squarefree_face_count(i, k) == sum(len(f) == k for f in expected)
+
+    def test_face_cap_is_inclusive(self, monkeypatch):
+        # the zero ideal on n variables has 2^n faces
+        monkeypatch.setattr(complexes, "MAX_COMPLEX_FACES", 16)
+        zero = MonomialIdeal.from_generators(4, [], degree=2)
+        assert len(stanley_reisner_complex(zero).faces) == 16
+        with pytest.raises(ValueError, match="more than 16 faces"):
+            stanley_reisner_complex(MonomialIdeal.from_generators(5, [], degree=2))
+
+    def test_face_cap_counts_the_faces_grown(self):
+        # 1 + 30 + 434 + 4,032 + 27,027 faces on up to four vertices, then
+        # 139,230 on five
+        wide = sf_ideal(30, (1, 2))
+        assert squarefree_face_count(wide, 4) == 27_027
+        with pytest.raises(ValueError, match=f"more than {MAX_COMPLEX_FACES} faces"):
+            squarefree_face_count(wide, 5)
+        with pytest.raises(ValueError, match="faces"):
+            stanley_reisner_complex(wide)
 
     def test_whole_ground_set_in_ideal(self):
         # the ideal of all variables leaves only the empty face
