@@ -17,6 +17,11 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _row(label: str, value) -> None:
+    """One human report line; every label is padded to the same width."""
+    print(f"{label:<21} {value}")
+
+
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -89,15 +94,13 @@ def _print_report(report: certifier.GotzmannReport, machine: bool) -> None:
         print(f"is_gotzmann={_bool(report.is_gotzmann)}")
     else:
         d = report.degree_d
-        print(f"generation degree d:  {d}")
-        print(f"H(P/I, {d}):           {report.h_quotient_d}")
-        print(f"H(P/I, {d + 1}):           {report.h_quotient_d1}")
-        print(f"Macaulay bound:       {report.macaulay_bound}")
+        _row("generation degree d:", d)
+        _row(f"H(P/I, {d}):", report.h_quotient_d)
+        _row(f"H(P/I, {d + 1}):", report.h_quotient_d1)
+        _row("Macaulay bound:", report.macaulay_bound)
         if report.square_free_check is not None:
-            status = "pass" if report.square_free_check else "FAIL"
-            print(f"square-free f-check:  {status}")
-        verdict = "GOTZMANN" if report.is_gotzmann else "not Gotzmann"
-        print(f"verdict:              {verdict}")
+            _row("square-free f-check:", "pass" if report.square_free_check else "FAIL")
+        _row("verdict:", "GOTZMANN" if report.is_gotzmann else "not Gotzmann")
 
 
 def _cmd_gotzmann(args) -> int:
@@ -124,12 +127,12 @@ def _cmd_verify(args) -> int:
         print(f"gotzmann_found={summary.gotzmann_found}")
         print(f"mismatches={summary.mismatches}")
     else:
-        print(f"vertex range:         1..{summary.max_vertices}")
-        print(f"graphs checked:       {summary.graphs_checked}")
-        print(f"stars found:          {summary.stars_found}")
-        print(f"Gotzmann edge ideals: {summary.gotzmann_found}")
-        print(f"mismatches:           {summary.mismatches}")
-        print(f"wall time:            {summary.wall_time_seconds:.2f} s")
+        _row("vertex range:", f"1..{summary.max_vertices}")
+        _row("graphs checked:", summary.graphs_checked)
+        _row("stars found:", summary.stars_found)
+        _row("Gotzmann edge ideals:", summary.gotzmann_found)
+        _row("mismatches:", summary.mismatches)
+        _row("wall time:", f"{summary.wall_time_seconds:.2f} s")
     return 0
 
 

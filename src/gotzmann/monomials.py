@@ -14,6 +14,8 @@ from typing import Iterable
 
 from .combinatorics import binomial, minimal_elements
 
+MAX_DEGREE_MONOMIALS = 1 << 20  # cap on one degree's monomials: 10^7 tuples take about 1 GB
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -148,9 +150,13 @@ class MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def degree_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of degree k in n variables, lex-descending (x1 > ... > xn)."""
+    """All exponent vectors of degree k in n variables, lex-descending (x1 > ... > xn);
+    more than MAX_DEGREE_MONOMIALS of them raise ValueError before any is listed."""
     if n < 1:
         raise ValueError("need at least one variable")
+    if binomial(n + k - 1, k) > MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"degree {k} in {n} variables has {binomial(n + k - 1, k)} "
+                         f"monomials, more than {MAX_DEGREE_MONOMIALS}")
     if n == 1:
         return ((k,),)
     out = []

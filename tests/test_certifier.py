@@ -10,6 +10,8 @@ from gotzmann.certifier import (
     GotzmannReport,
     StarTheoremMismatch,
     _check_mask_range,
+    _edge_tables,
+    _subset_table,
     certify,
     check_edge_bound,
     gotzmann_value_deg2,
@@ -238,8 +240,33 @@ class TestCheckMaskRange:
         )
         assert _check_mask_range((5, 5, 5)) == (0, 0, 0, None)
 
+    def test_uneven_ranges_sum_to_the_whole_run(self):
+        # cut points that are no powers of two, as W equal ranges give for W = 3
+        total = 1 << len(edge_pairs(6))
+        parts = [_check_mask_range((6, lo, hi))
+                 for lo, hi in ((0, 1000), (1000, 21845), (21845, total))]
+        whole = _check_mask_range((6, 0, total))
+        # 1 + C(6, 2) + 6(2^5 - 6) = 172 labeled stars, each Gotzmann
+        assert whole == (total, 172, 172, None)
+        assert tuple(sum(r[i] for r in parts) for i in range(3)) + (None,) == whole
+
     def test_out_of_range_masks(self):
         with pytest.raises(ValueError):
             _check_mask_range((3, 0, 9))
         with pytest.raises(ValueError):
             _check_mask_range((3, 2, 1))
+
+
+class TestSubsetTable:
+    def test_entries_equal_a_direct_or_and(self):
+        for n in range(1, 6):
+            edges, _ = _edge_tables(n)
+            table = _subset_table(edges)
+            assert len(table) == 1 << len(edges)
+            for mask, (multiples, common) in enumerate(table):
+                chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
+                expected_multiples, expected_common = 0, -1
+                for m, v in chosen:
+                    expected_multiples |= m
+                    expected_common &= v
+                assert (multiples, common) == (expected_multiples, expected_common)

@@ -97,6 +97,19 @@ class TestHilbert:
         assert code == 0
         assert "H(P/I, 3) = 15" in out
 
+    def test_enumeration_cap_both_sides(self, capsys, write):
+        # I_k lists the degree k - 2 and k - 3 monomials in 4 variables: about
+        # 1.7 * 10^5 at k = 100, and more than 2^20 at k = 400
+        path = write("ex.ideal", PAPER_EXAMPLE_IDEAL)
+        code, out, _ = run(capsys, "hilbert", "--ideal", path, "--degree", "100", "--machine")
+        assert code == 0
+        assert "h_quotient=5350" in out
+        started = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--ideal", path, "--degree", "400")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 1048576" in err
+
     def test_malformed_file(self, capsys, write):
         path = write("bad.ideal", "4\n9:1\n")
         code, _, err = run(capsys, "hilbert", "--ideal", path, "--degree", "3")
@@ -174,6 +187,19 @@ class TestGotzmann:
         assert code == 0
         assert "Macaulay bound" in out and "59" in out
 
+    def test_human_report_golden(self, capsys, write):
+        path = write("star.graph", STAR7_GRAPH)
+        code, out, _ = run(capsys, "gotzmann", "--graph", path)
+        assert code == 0
+        assert out == (
+            "generation degree d:  2\n"
+            "H(P/I, 2):            23\n"
+            "H(P/I, 3):            59\n"
+            "Macaulay bound:       59\n"
+            "square-free f-check:  pass\n"
+            "verdict:              GOTZMANN\n"
+        )
+
     def test_graph_header_with_edge_fields_is_refused(self, capsys, write):
         path = write("flat.graph", "3 1 2\n")
         code, out, err = run(capsys, "gotzmann", "--graph", path)
@@ -242,3 +268,13 @@ class TestLexIdeal:
         code, _, err = run(capsys, "lex-ideal", "3", "2", "99")
         assert code == 2
         assert "out of range" in err
+
+    def test_enumeration_cap_both_sides(self, capsys):
+        # C(16, 3) = 560 cubics in 14 variables; C(27, 14) > 2 * 10^7 in degree 14
+        code, out, _ = run(capsys, "lex-ideal", "14", "3", "1")
+        assert (code, out) == (0, "14 3\n1:3\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "lex-ideal", "14", "14", "1")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 1048576" in err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import monomials
 from gotzmann.combinatorics import macaulay_pseudopower
 from gotzmann.monomials import (
     Monomial,
@@ -103,6 +104,15 @@ class TestHilbertRing:
     def test_lex_descending_order(self):
         ms = degree_monomials(3, 2)
         assert ms == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+    def test_enumeration_cap_both_sides(self, monkeypatch):
+        # with the cap lowered to 15: C(6, 4) = 15 quartics in 3 variables are
+        # listed, C(7, 5) = 21 quintics are refused
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 15)
+        degree_monomials.cache_clear()
+        assert len(degree_monomials(3, 4)) == 15
+        with pytest.raises(ValueError, match="21 monomials, more than 15"):
+            degree_monomials(3, 5)
 
 
 class TestHilbertIdeal:
