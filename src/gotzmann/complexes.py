@@ -1,86 +1,96 @@
 """Simplicial complexes, the Stanley-Reisner correspondence and f-vectors.
 
-Complexes are stored as their full face sets; facets are derived when asked
-for.  Every face is held in memory, so a complex may have at most
-MAX_COMPLEX_FACES faces: complex files larger than that are refused when
-parsed, and Stanley-Reisner complexes while their faces are grown.
+A complex is stored as its full face set of int vertex masks (bit v - 1 is
+vertex v, so colex order of k-subsets is numeric order), with at most
+MAX_COMPLEX_FACES faces: larger complex files are refused when parsed, and
+Stanley-Reisner complexes while their faces are grown.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Collection, Iterable, Iterator
+from functools import lru_cache
+from itertools import islice
+from typing import Iterable, Iterator
 
-from .combinatorics import binomial, kruskal_katona_pseudopower, minimal_elements
+from .combinatorics import binomial, kruskal_katona_pseudopower
 from .monomials import Monomial, MonomialIdeal
 
 MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
 
 
-def _extensions(family: Collection[frozenset[int]], n: int) -> Iterator[frozenset[int]]:
-    """The subsets of 1..n, one vertex larger than some member, whose one-vertex
-    deletions all lie in ``family``; each is grown once, from itself minus its max."""
+@lru_cache(maxsize=MAX_COMPLEX_FACES)  # as many masks as one complex may hold
+def _bits(mask: int) -> tuple[int, ...]:
+    """The one-bit masks of ``mask``, lowest first."""
+    return tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bit v - 1 for each vertex v; a vertex below 1 is a negative shift, a ValueError."""
+    return sum({1 << v - 1 for v in vertices})
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(b.bit_length() for b in _bits(mask))
+
+
+def _extensions(family: frozenset[int], n: int) -> Iterator[int]:
+    """The masks over n vertices, one vertex larger than some member, whose one-vertex
+    deletions all lie in ``family``; each is grown once, from itself minus its top bit."""
     for s in family:
-        for v in range(max(s, default=0) + 1, n + 1):
-            if all(s - {u} | {v} in family for u in s):
-                yield s | {v}
-
-
-def _maximal_faces(faces: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    """The distinct faces contained in no other face."""
-    return minimal_elements(faces, lambda f: -len(f), frozenset.__gt__)
+        bits = _bits(s)
+        for v in range(s.bit_length(), n):
+            t = s | 1 << v
+            if family.issuperset(map(t.__xor__, bits)):
+                yield t
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed set family on vertices 1..ground_size, stored as all
-    of its faces.
-
-    The empty face is always present; the complex consisting of only the empty
-    face is frozenset({frozenset()}).
-    """
+    """A downward-closed set family on vertices 1..ground_size, stored as all of
+    its faces as vertex masks; the empty face 0 is always present."""
 
     ground_size: int
-    faces: frozenset[frozenset[int]]
+    faces: frozenset[int]
 
     def __post_init__(self) -> None:
         if self.ground_size < 1:
             raise ValueError("ground set must be non-empty")
-        if frozenset() not in self.faces:
+        if 0 not in self.faces:
             raise ValueError("complex must contain the empty face")
         # Closed under removing one vertex means downward closed, by induction.
         for face in self.faces:
-            for v in face:
-                if not 1 <= v <= self.ground_size:
-                    raise ValueError(f"vertex {v} outside 1..{self.ground_size}")
-                if face - {v} not in self.faces:
-                    raise ValueError(f"face {sorted(face)} lacks its subface without {v}")
+            if not 0 <= face < 1 << self.ground_size:
+                raise ValueError(f"face mask {face} outside vertices 1..{self.ground_size}")
+            for b in _bits(face):
+                if face ^ b not in self.faces:
+                    raise ValueError(f"face {_vertices(face)} lacks its subface without {b.bit_length()}")
 
     @classmethod
-    def from_faces(
-        cls, ground_size: int, faces: Iterable[Iterable[int]]
-    ) -> SimplicialComplex:
+    def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
         """Build the smallest complex containing the given faces: all their subsets."""
-        closure = {frozenset()}
-        for face in map(frozenset, faces):
-            if face not in closure:
-                for size in range(1, len(face) + 1):
-                    closure.update(map(frozenset, combinations(face, size)))
+        closure = {0}
+        for face in map(_mask, faces):
+            sub = face
+            while sub:  # every submask of the face, down to the empty face
+                closure.add(sub)
+                sub = (sub - 1) & face
         return cls(ground_size, frozenset(closure))
 
     @property
     def facets(self) -> frozenset[frozenset[int]]:
         """The faces contained in no other face."""
-        return frozenset(_maximal_faces(self.faces))
+        up = [1 << v for v in range(self.ground_size)]
+        maximal = (f for f in self.faces if self.faces.isdisjoint(f | b for b in up if not f & b))
+        return frozenset(map(frozenset, map(_vertices, maximal)))
 
     @property
     def dimension(self) -> int:
         """Largest face dimension; -1 for the complex with only the empty face."""
-        return max(map(len, self.faces)) - 1
+        return max(map(int.bit_count, self.faces)) - 1
 
     def is_face(self, vertices: Iterable[int]) -> bool:
-        return frozenset(vertices) in self.faces
+        return _mask(vertices) in self.faces
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,13 @@ class FVector:
         return len(self.counts)
 
 
-def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[frozenset[int]]]:
+def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     """The Stanley-Reisner faces by size, from {∅} to the last size with any;
     ValueError once there are more than MAX_COMPLEX_FACES of them."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
-    supports = {g.support for g in ideal.generators}
-    level, total = frozenset({frozenset()}), 1
+    supports = {sum(e << i for i, e in enumerate(g.exponents)) for g in ideal.generators}
+    level, total = frozenset({0}), 1
     while level:
         yield level
         # A set whose one-vertex deletions are faces contains a support only if it is one.
@@ -156,16 +166,13 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     arbitrary complex need not all have the same degree.
     """
     n = complex_.ground_size
-    return frozenset(
-        Monomial.squarefree(n, s)
-        for s in _extensions(complex_.faces, n)
-        if s not in complex_.faces
-    )
+    non_faces = (s for s in _extensions(complex_.faces, n) if s not in complex_.faces)
+    return frozenset(Monomial(tuple(s >> i & 1 for i in range(n))) for s in non_faces)
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:
     """Exact face counts by dimension, counted over the stored faces."""
-    counts = Counter(map(len, complex_.faces))
+    counts = Counter(map(int.bit_count, complex_.faces))
     return FVector(tuple(counts[size] for size in range(1, max(counts) + 1)))
 
 
@@ -182,19 +189,23 @@ def hilbert_stanley_reisner(fv: FVector, k: int) -> int:
 
 
 def is_valid_f_vector(fv: FVector) -> bool:
-    """Kruskal-Katona test: 0 < f_{k+1} <= f_k^(k+1) for every consecutive pair."""
-    for k in range(len(fv.counts) - 1):
-        if not 0 < fv.counts[k + 1] <= kruskal_katona_pseudopower(fv.counts[k], k + 1):
-            return False
-    return True
+    """Kruskal-Katona test: f_{k+1} <= f_k^(k+1) for every consecutive pair."""
+    c = fv.counts
+    return all(c[k + 1] <= kruskal_katona_pseudopower(c[k], k + 1) for k in range(len(c) - 1))
+
+
+def _colex_masks(size: int) -> Iterator[int]:
+    """Every mask of ``size`` bits in increasing (so colex) order, by Gosper's step."""
+    mask = (1 << size) - 1
+    while True:
+        yield mask
+        high = mask + (low := mask & -mask)
+        mask = high | ((mask ^ high) >> 2) // low
 
 
 def colex_subsets(universe: int, size: int) -> list[tuple[int, ...]]:
     """All size-subsets of 1..universe in colexicographic order."""
-    return sorted(
-        combinations(range(1, universe + 1), size),
-        key=lambda s: tuple(reversed(s)),
-    )
+    return list(map(_vertices, islice(_colex_masks(size), binomial(universe, size))))
 
 
 def compressed_complex(fv: FVector) -> SimplicialComplex:
@@ -208,8 +219,7 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
         raise ValueError("not a valid f-vector")
     if not fv.counts:
         raise ValueError("empty f-vector has no compressed complex")
-    ground = fv.counts[0]
-    faces = {frozenset()}
+    faces = {0}
     for i, f_i in enumerate(fv.counts):
-        faces.update(map(frozenset, colex_subsets(ground, i + 1)[:f_i]))
-    return SimplicialComplex(ground, frozenset(faces))
+        faces.update(islice(_colex_masks(i + 1), f_i))
+    return SimplicialComplex(fv.counts[0], frozenset(faces))

@@ -104,9 +104,9 @@ class MonomialIdeal:
                 raise ValueError("the unit monomial cannot be a generator")
             if d is not None and g.degree != d:
                 raise ValueError(f"generator {g} has degree {g.degree}, expected {d}")
-        redundant = self.generators.difference(_minimal_generators(self.generators))
-        if redundant:
-            raise ValueError(f"generator {min(map(str, redundant))} is redundant")
+        if d is None:  # distinct monomials of one degree never divide each other
+            if redundant := self.generators.difference(_minimal_generators(self.generators)):
+                raise ValueError(f"generator {min(map(str, redundant))} is redundant")
 
     @classmethod
     def from_generators(

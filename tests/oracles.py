@@ -65,6 +65,19 @@ def stanley_reisner_faces(n: int, supports: list[set[int]]) -> set[frozenset[int
     }
 
 
+def vertex_mask(vertices) -> int:
+    """The int with bit v - 1 set for each vertex v of the set."""
+    return sum(1 << (v - 1) for v in set(vertices))
+
+
+def colex_first(universe: int, size: int, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` size-subsets of 1..universe in colexicographic
+    order: all of them, sorted by their reversed tuples."""
+    return sorted(
+        combinations(range(1, universe + 1), size), key=lambda s: s[::-1]
+    )[:count]
+
+
 def minimal_under(items, le) -> set:
     """Distinct items x such that no other item y has le(y, x), by all pairs."""
     distinct = set(items)

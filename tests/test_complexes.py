@@ -1,4 +1,5 @@
 """Tests for complexes, the Stanley-Reisner correspondence and f-vectors."""
+import random
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,7 @@ from gotzmann.monomials import (
     MonomialIdeal,
     hilbert_quotient,
 )
-from oracles import minimal_under, stanley_reisner_faces
+from oracles import colex_first, minimal_under, stanley_reisner_faces, vertex_mask
 
 def sf_ideal(n, *supports):
     return MonomialIdeal.from_generators(
@@ -51,20 +52,38 @@ def random_squarefree_ideals(max_n=5):
 
 
 class TestSimplicialComplex:
+    # faces are vertex masks: bit v - 1 stands for vertex v
     def test_facets_must_be_incomparable(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex(
-                3, frozenset({frozenset({1}), frozenset({1, 2})})
-            )
+        # the facets {1} and {1, 2} given as faces: {1, 2} lacks {2}
+        with pytest.raises(ValueError, match=r"face \(1, 2\) lacks its subface without 1"):
+            SimplicialComplex(3, frozenset({0, 0b001, 0b011}))
 
-    @pytest.mark.parametrize("faces", [set(), {frozenset({1})}])
+    @pytest.mark.parametrize("faces", [set(), {0b001}])
     def test_empty_face_required(self, faces):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty face"):
             SimplicialComplex(3, frozenset(faces))
 
     def test_subfaces_required(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex(3, frozenset({frozenset(), frozenset({1, 2})}))
+        with pytest.raises(ValueError, match="lacks its subface"):
+            SimplicialComplex(3, frozenset({0, 0b001, 0b010, 0b011, 0b100, 0b111}))
+
+    @pytest.mark.parametrize(
+        "faces, message",
+        [
+            ({0, -1}, "face mask -1 outside"),
+            ({0, 0b1000}, "face mask 8 outside"),
+            ({0, 0b001, 0b010, 0b100, 0b101, 0b110, 0b111}, r"face \(1, 2, 3\) lacks its subface without 3"),
+        ],
+        ids=["negative mask", "bit at ground size", "missing subface"],
+    )
+    def test_bad_masks_rejected(self, faces, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(3, frozenset(faces))
+
+    def test_masks_accepted(self):
+        c = SimplicialComplex(3, frozenset({0, 0b001, 0b010, 0b011, 0b100}))
+        assert c.facets == frozenset({frozenset({1, 2}), frozenset({3})})
+        assert c.is_face({2, 1}) and not c.is_face({1, 3})
 
     def test_from_faces_extracts_maximal(self):
         c = SimplicialComplex.from_faces(3, [{1}, {1, 2}, {3}])
@@ -109,7 +128,7 @@ class TestStanleyReisner:
         i = random_squarefree_ideals()(data)
         n = i.ambient_vars
         expected = stanley_reisner_faces(n, [g.support for g in i.generators])
-        assert stanley_reisner_complex(i).faces == expected
+        assert stanley_reisner_complex(i).faces == set(map(vertex_mask, expected))
         for k in range(n + 2):
             assert squarefree_face_count(i, k) == sum(len(f) == k for f in expected)
 
@@ -139,6 +158,26 @@ class TestStanleyReisner:
         assert f_vector(c).counts == ()
 
 
+def benchmark_sized_ideals(count=24, seed=9):
+    """Seeded square-free equigenerated ideals at the sizes the ideals
+    benchmark draws: 8-11 variables, degree 2-4, up to 60 generators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, d = rng.randint(8, 11), rng.randint(2, 4)
+        pool = list(combinations(range(1, n + 1), d))
+        supports = rng.sample(pool, rng.randint(1, min(60, len(pool))))
+        yield sf_ideal(n, *supports)
+
+
+@pytest.mark.parametrize("ideal", benchmark_sized_ideals())
+def test_benchmark_sized_round_trip(ideal):
+    supports = [g.support for g in ideal.generators]
+    expected = stanley_reisner_faces(ideal.ambient_vars, supports)
+    c = stanley_reisner_complex(ideal)
+    assert c.faces == set(map(vertex_mask, expected))
+    assert ideal_of_complex(c) == ideal.generators
+
+
 class TestIdealOfComplex:
     def test_paper_example_round_trip(self):
         c = stanley_reisner_complex(PAPER_EXAMPLE)
@@ -164,7 +203,7 @@ class TestIdealOfComplex:
             frozenset(sub) for f in drawn
             for size in range(len(f) + 1) for sub in combinations(sorted(f), size)
         }
-        assert c.faces == closure
+        assert c.faces == set(map(vertex_mask, closure))
         non_faces = [
             s for size in range(1, n + 1)
             for s in map(frozenset, combinations(range(1, n + 1), size))
@@ -297,6 +336,18 @@ class TestCompressedComplex:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             compressed_complex(FVector((3, 3, 2)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_faces_match_colex_oracle(self, data):
+        fv = f_vector(stanley_reisner_complex(random_squarefree_ideals(max_n=7)(data)))
+        if fv.counts:
+            expected = {0} | {
+                vertex_mask(s)
+                for i, f_i in enumerate(fv.counts)
+                for s in colex_first(fv.counts[0], i + 1, f_i)
+            }
+            assert compressed_complex(fv).faces == expected
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
