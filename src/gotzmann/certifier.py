@@ -19,9 +19,9 @@ from .graphs import Graph, edge_ideal, edge_pairs
 from .monomials import MonomialIdeal, degree_monomials, degree_part, hilbert_ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GotzmannReport:
-    """Certifier output: the two Hilbert values, the Macaulay bound, verdict.
+    """Certifier output: the two Hilbert values and the Macaulay bound.
 
     ``square_free_check`` holds f_d == f_{d-1}^(d) for square-free ideals and
     None otherwise; it is an implication witness (Gotzmann implies true), not
@@ -32,7 +32,6 @@ class GotzmannReport:
     h_quotient_d: int
     h_quotient_d1: int
     macaulay_bound: int
-    is_gotzmann: bool
     square_free_check: bool | None = None
 
     def __post_init__(self) -> None:
@@ -40,8 +39,11 @@ class GotzmannReport:
             raise AssertionError(
                 "Macaulay bound violated: arithmetic bug in the enumeration"
             )
-        if self.is_gotzmann != (self.h_quotient_d1 == self.macaulay_bound):
-            raise AssertionError("verdict inconsistent with its own fields")
+
+    @property
+    def is_gotzmann(self) -> bool:
+        """The verdict: H(P/I, d+1) meets the Macaulay bound."""
+        return self.h_quotient_d1 == self.macaulay_bound
 
 
 def certify(ideal: MonomialIdeal) -> GotzmannReport:
@@ -70,7 +72,6 @@ def certify(ideal: MonomialIdeal) -> GotzmannReport:
         h_quotient_d=h_d,
         h_quotient_d1=h_d1,
         macaulay_bound=bound,
-        is_gotzmann=h_d1 == bound,
         square_free_check=square_free_check,
     )
 
@@ -183,7 +184,7 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     f_{d-1}^(d) (Kruskal-Katona).  A violation raises StarTheoremMismatch
     carrying the graph, so a normal return reports zero mismatches; a star
     count on n vertices other than 1 + C(n, 2) + n(2^(n-1) - n) raises
-    ArithmeticError.  max_vertices > 8 (2^36 graphs, about 9 hours on one core) and
+    ArithmeticError.  max_vertices > 8 (2^36 graphs, about 8 hours on one core) and
     workers > CPU count raise ValueError.
     """
     if not 1 <= max_vertices <= 8:

@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "lex-ideal", parents=[machine_parent],
+        "lex-ideal",
         help="emit the lex-segment ideal of COUNT degree-D monomials in N "
         "variables, in the ideal file format",
     )

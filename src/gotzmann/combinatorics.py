@@ -5,21 +5,12 @@ are the bedrock for every Hilbert-function bound in the rest of the package.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby, repeat
+from math import comb as binomial  # C(p, q), 0 for p < q; refuses negative or non-int
 from typing import Callable, Iterable
 
-MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes for b_d
-
-
-def binomial(p: int, q: int) -> int:
-    """Binomial coefficient C(p, q), with the convention C(p, q) = 0 for p < q."""
-    if p < 0 or q < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if p < q:
-        return 0
-    return math.comb(p, q)
+MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes over all coefficients
 
 
 @dataclass(frozen=True)
@@ -27,25 +18,26 @@ class MacaulayRep:
     """The decomposition a = C(b_d, d) + C(b_{d-1}, d-1) + ... + C(b_1, 1).
 
     Coefficients are stored largest index first and are strictly decreasing:
-    b_d > b_{d-1} > ... > b_1 >= 0.  Every representation has exactly
-    ``degree`` entries; when the greedy remainder hits zero early, the forced
+    b_d > b_{d-1} > ... > b_1 >= 0.  The degree d is the number of
+    coefficients; when the greedy remainder hits zero early, the forced
     zero terms b_i = i - 1 are kept explicitly so that a = 0 is well-defined
     and downstream arithmetic never special-cases short representations.
     """
 
-    degree: int
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if len(self.coefficients) != self.degree:
-            raise ValueError("expected exactly one coefficient per degree")
+        if not self.coefficients:
+            raise ValueError("need at least one coefficient")
         for hi, lo in zip(self.coefficients, self.coefficients[1:]):
             if hi <= lo:
                 raise ValueError("coefficients must be strictly decreasing")
         if self.coefficients[-1] < 0:
             raise ValueError("coefficients must be non-negative")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients)
 
     def value(self) -> int:
         """Evaluate the representation back to the integer it encodes."""
@@ -74,12 +66,14 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         raise ValueError("a must be non-negative")
     if d < 1:
         raise ValueError("d must be positive")
-    # b_d takes b_d - d + 1 steps, more than the cap exactly when C(d + cap, d)
-    # <= a.  That binomial is at least 2^min(d, cap), so a shorter a is accepted
-    # without building it.
-    if a.bit_length() > min(d, MAX_BASE_STEPS) and binomial(d + MAX_BASE_STEPS, d) <= a:
+    # b_i takes b_i - i + 1 steps, and b_i <= b_d - (d - i), so no coefficient
+    # takes more than b_d's b_d - d + 1.  Capping b_d at cap = MAX_BASE_STEPS // d
+    # caps the whole search; b_d passes it exactly when C(d + cap, d) <= a.  That
+    # binomial is at least 2^min(d, cap), so a shorter a is accepted without it.
+    cap = MAX_BASE_STEPS // d
+    if a.bit_length() > min(d, cap) and binomial(d + cap, d) <= a:
         raise ValueError(
-            f"a = {a} at d = {d} needs more than {MAX_BASE_STEPS} steps for b_{d}"
+            f"a = {a} at d = {d} could take more than {MAX_BASE_STEPS} steps in total"
         )
     coefficients = []
     remainder = a
@@ -89,7 +83,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         remainder -= binomial(b, i)
     if remainder != 0:
         raise ArithmeticError(f"greedy Macaulay remainder {remainder} is not zero")
-    return MacaulayRep(d, tuple(coefficients))
+    return MacaulayRep(tuple(coefficients))
 
 
 def macaulay_pseudopower(a: int, d: int) -> int:

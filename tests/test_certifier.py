@@ -82,9 +82,14 @@ class TestCertify:
         )
 
     def test_report_consistency_enforced(self):
-        with pytest.raises(AssertionError):
-            GotzmannReport(2, 10, 12, 11, False)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="Macaulay bound violated"):
+            GotzmannReport(degree_d=2, h_quotient_d=10, h_quotient_d1=12,
+                           macaulay_bound=11)
+
+    def test_positional_call_refused(self):
+        # the old field order put is_gotzmann fifth; it must not land in
+        # square_free_check
+        with pytest.raises(TypeError):
             GotzmannReport(2, 10, 11, 11, False)
 
 

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface."""
+import argparse
 import os
 import time
 
 import pytest
 
 from gotzmann import certifier
-from gotzmann.cli import main
+from gotzmann.cli import _build_parser, main
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
@@ -60,8 +61,17 @@ class TestMacaulayRep:
         code, out, _ = run(capsys, "macaulay-rep", "5", "100000", "--machine")
         assert code == 0
         assert out.startswith("a=5\nd=100000\ncoefficients=100000 99999 ")
-        # C(100000 + 10^7, 100000) alone would take about a second to build
+        # a < 2^min(d, cap // d) is accepted without building the guard binomial
         assert time.perf_counter() - started < 0.5
+
+    def test_cap_bounds_the_whole_search(self, capsys):
+        # C(10^7 + 2, 2) - 1 has coefficients 10^7 + 1 and 10^7: about 2 * 10^7
+        # steps in all, so b_2 gets only 10^7 // 2 of them
+        started = time.perf_counter()
+        code, out, err = run(capsys, "macaulay-rep", "50000015000000", "2")
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (2, "")
+        assert "more than 10000000 steps in total" in err
 
 
 class TestPseudopower:
@@ -252,6 +262,36 @@ class TestVerify:
         code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "2")
         assert code == 0
         assert "wall time" in out
+
+
+MACHINE_ARGS = {
+    "macaulay-rep": ["23", "2"],
+    "pseudopower": ["--kk", "16", "2"],
+    "hilbert": ["--ideal", "ex.ideal", "--degree", "3"],
+    "fvector": ["--ideal", "ex.ideal"],
+    "gotzmann": ["--graph", "star.graph"],
+    "verify-star-theorem": ["--max-vertices", "3"],
+}
+
+
+class TestMachineFlag:
+    def test_every_machine_subcommand_is_covered(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        takes_machine = {name for name, p in sub.choices.items()
+                         if "--machine" in p._option_string_actions}
+        assert takes_machine == set(MACHINE_ARGS)
+
+    @pytest.mark.parametrize("command", sorted(MACHINE_ARGS))
+    def test_flag_changes_output(self, capsys, monkeypatch, tmp_path, command):
+        (tmp_path / "ex.ideal").write_text(PAPER_EXAMPLE_IDEAL)
+        (tmp_path / "star.graph").write_text(STAR7_GRAPH)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *MACHINE_ARGS[command]]
+        code, out, _ = run(capsys, *argv)
+        machine_code, machine_out, _ = run(capsys, *argv, "--machine")
+        assert code == machine_code == 0
+        assert machine_out != out
 
 
 class TestLexIdeal:

@@ -62,12 +62,12 @@ class TestMacaulayRep:
         assert macaulay_rep(23, 2).coefficients == (7, 2)
 
     def test_invariants_rejected(self):
-        with pytest.raises(ValueError):
-            MacaulayRep(2, (2, 2))
-        with pytest.raises(ValueError):
-            MacaulayRep(2, (3,))
-        with pytest.raises(ValueError):
-            MacaulayRep(1, (-1,))
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            MacaulayRep(())
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            MacaulayRep((2, 2))
+        with pytest.raises(ValueError, match="non-negative"):
+            MacaulayRep((-1,))
         with pytest.raises(ValueError):
             macaulay_rep(-1, 2)
         with pytest.raises(ValueError):
@@ -78,6 +78,7 @@ class TestMacaulayRep:
     def test_round_trip(self, a, d):
         rep = macaulay_rep(a, d)
         assert len(rep.coefficients) == d
+        assert rep.degree == d
         assert rep.value() == a
 
     def test_uniqueness_small(self):
@@ -103,13 +104,13 @@ class TestMacaulayRep:
 
 
 class TestBaseSearchCap:
-    # b_d is searched from d - 1 upward, so C(d + cap, d) is the least a
-    # whose b_d needs more than cap steps.
+    # b_d is searched from d - 1 upward and gets cap // d of the cap's steps,
+    # so C(d + cap // d, d) is the least a refused.
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_both_sides_of_a_small_cap(self, monkeypatch, d):
         monkeypatch.setattr(combinatorics, "MAX_BASE_STEPS", 50)
-        limit = binomial(d + 50, d)
-        assert macaulay_rep(limit - 1, d).coefficients[0] == d + 49
+        limit = binomial(d + 50 // d, d)
+        assert macaulay_rep(limit - 1, d).coefficients[0] == d + 50 // d - 1
         with pytest.raises(ValueError, match="more than 50 steps"):
             macaulay_rep(limit, d)
         with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ class TestBaseSearchCap:
             assert macaulay_rep(10 ** 12 - 1, d).value() == 10 ** 12 - 1
 
     def test_short_a_at_huge_degree(self):
-        # a < 2^d needs no binomial C(d + cap, d) to be accepted
+        # a < 2^min(d, cap // d) needs no binomial C(d + cap // d, d) to be accepted
         rep = macaulay_rep(5, 100_000)
         assert rep.value() == 5
         assert rep.coefficients[:2] == (100_000, 99_999)
