@@ -16,7 +16,7 @@ from functools import lru_cache
 from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
 from .graphs import Graph, edge_ideal, edge_pairs
-from .monomials import MonomialIdeal, degree_monomials, degree_part, hilbert_ring
+from .monomials import MonomialIdeal, degree_part, hilbert_ring, packed_monomials, packing
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -65,7 +65,8 @@ def certify(ideal: MonomialIdeal) -> GotzmannReport:
     square_free_check = None
     if ideal.is_squarefree:
         f_prev = binomial(n, d) - len(ideal.generators)
-        f_top = binomial(n, d + 1) - sum(1 for m in top if max(m) <= 1)
+        _, high = packing(n, d + 1)
+        f_top = binomial(n, d + 1) - sum(1 for m in top if not m & high)
         square_free_check = f_top == kruskal_katona_pseudopower(f_prev, d)
     return GotzmannReport(
         degree_d=d,
@@ -121,10 +122,11 @@ def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a
     bitset over degree_monomials(n, 3) and its vertex mask; and the bitset of
     the square-free cubics, which are the 3-subsets."""
-    bits = {m: 1 << i for i, m in enumerate(degree_monomials(n, 3))}
+    w, high = packing(n, 3)
+    bits = {m: 1 << i for i, m in enumerate(packed_monomials(n, 3, w))}
     edges = tuple((sum(bits[m] for m in degree_part(edge_ideal(Graph.from_edge_list(n, [p])), 3)),
                    sum(1 << v for v in p)) for p in edge_pairs(n))
-    return edges, sum(bit for m, bit in bits.items() if max(m) <= 1)
+    return edges, sum(bit for m, bit in bits.items() if not m & high)
 
 
 @lru_cache(maxsize=None)

@@ -34,14 +34,14 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(b.bit_length() for b in _bits(mask))
 
 
-def _extensions(family: frozenset[int], n: int) -> Iterator[int]:
-    """The masks over n vertices, one vertex larger than some member, whose one-vertex
-    deletions all lie in ``family``; each is grown once, from itself minus its top bit."""
+def _extensions(family: frozenset[int], n: int, exclude: frozenset[int]) -> Iterator[int]:
+    """The masks t over n vertices outside ``exclude`` (one lookup, so tested first) whose
+    one-vertex deletions all lie in ``family``, each grown once, from t minus its top bit."""
     for s in family:
         bits = _bits(s)
         for v in range(s.bit_length(), n):
             t = s | 1 << v
-            if family.issuperset(map(t.__xor__, bits)):
+            if t not in exclude and family.issuperset(map(t.__xor__, bits)):
                 yield t
 
 
@@ -67,15 +67,26 @@ class SimplicialComplex:
                     raise ValueError(f"face {_vertices(face)} lacks its subface without {b.bit_length()}")
 
     @classmethod
+    def _closed(cls, ground_size: int, faces: frozenset[int]) -> SimplicialComplex:
+        """A complex whose builder made its faces closed and in range: no __post_init__."""
+        complex_ = object.__new__(cls)
+        complex_.__dict__.update(ground_size=ground_size, faces=faces)
+        return complex_
+
+    @classmethod
     def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
         """Build the smallest complex containing the given faces: all their subsets."""
+        if ground_size < 1:
+            raise ValueError("ground set must be non-empty")
         closure = {0}
         for face in map(_mask, faces):
+            if face >> ground_size:
+                raise ValueError(f"face mask {face} outside vertices 1..{ground_size}")
             sub = face
             while sub:  # every submask of the face, down to the empty face
                 closure.add(sub)
                 sub = (sub - 1) & face
-        return cls(ground_size, frozenset(closure))
+        return cls._closed(ground_size, frozenset(closure))
 
     @property
     def facets(self) -> frozenset[frozenset[int]]:
@@ -131,12 +142,12 @@ def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     ValueError once there are more than MAX_COMPLEX_FACES of them."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
-    supports = {sum(e << i for i, e in enumerate(g.exponents)) for g in ideal.generators}
+    supports = frozenset(sum(e << i for i, e in enumerate(g.exponents)) for g in ideal.generators)
     level, total = frozenset({0}), 1
     while level:
         yield level
         # A set whose one-vertex deletions are faces contains a support only if it is one.
-        grown = (s for s in _extensions(level, ideal.ambient_vars) if s not in supports)
+        grown = _extensions(level, ideal.ambient_vars, supports)
         level = frozenset(islice(grown, MAX_COMPLEX_FACES - total + 1))  # at most one past the cap
         total += len(level)
         if total > MAX_COMPLEX_FACES:
@@ -154,7 +165,7 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces: vertex sets whose square-free product is not in the ideal."""
-    return SimplicialComplex(ideal.ambient_vars, frozenset().union(*_face_levels(ideal)))
+    return SimplicialComplex._closed(ideal.ambient_vars, frozenset().union(*_face_levels(ideal)))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
@@ -165,9 +176,8 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     as a raw generator set, not a MonomialIdeal: the minimal non-faces of an
     arbitrary complex need not all have the same degree.
     """
-    n = complex_.ground_size
-    non_faces = (s for s in _extensions(complex_.faces, n) if s not in complex_.faces)
-    return frozenset(Monomial(tuple(s >> i & 1 for i in range(n))) for s in non_faces)
+    n, faces = complex_.ground_size, complex_.faces
+    return frozenset(Monomial(tuple(map(int, f"{s:0{n}b}"[::-1]))) for s in _extensions(faces, n, faces))
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:
@@ -213,7 +223,7 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
 
     Its i-dimensional faces are the first f_i (i+1)-subsets in colexicographic
     order.  By Kruskal-Katona, validity of the f-vector makes this family
-    downward closed; the SimplicialComplex constructor checks that it is.
+    downward closed, so the constructor's closure check is skipped; a test checks it.
     """
     if not is_valid_f_vector(fv):
         raise ValueError("not a valid f-vector")
@@ -222,4 +232,4 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
     faces = {0}
     for i, f_i in enumerate(fv.counts):
         faces.update(islice(_colex_masks(i + 1), f_i))
-    return SimplicialComplex(fv.counts[0], frozenset(faces))
+    return SimplicialComplex._closed(fv.counts[0], frozenset(faces))

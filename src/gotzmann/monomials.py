@@ -1,15 +1,15 @@
 """Monomials, equigenerated monomial ideals and brute-force Hilbert functions.
 
 Hilbert values are computed by exhaustive enumeration: the degree-k part
-I_k is listed monomial by monomial as the set of degree-k multiples of the
-generators.  That enumeration is deliberately the single source of truth:
+I_k is listed as the set of degree-k multiples of the generators, each packed
+into one int.  That enumeration is deliberately the single source of truth:
 every closed form elsewhere in the package is cross-checked against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, attrgetter
+from operator import attrgetter, lshift
 from typing import Iterable
 
 from .combinatorics import binomial, minimal_elements
@@ -175,16 +175,33 @@ def hilbert_ring(n: int, k: int) -> int:
     return binomial(n + k - 1, n - 1)
 
 
-def degree_part(ideal: MonomialIdeal, k: int) -> set[tuple[int, ...]]:
-    """I_k as exponent vectors: the products g * m over the generators g of
-    degree at most k and the monomials m of degree k - deg g."""
+def _pack(exponents: tuple[int, ...], w: int) -> int:
+    return sum(map(lshift, exponents, range(0, w * len(exponents), w)))
+
+
+def packing(n: int, k: int) -> tuple[int, int]:
+    """Width w of the fields of degree-k exponent vectors over n variables packed into ints
+    (x_{i+1} at bit w * i; no exponent exceeds k, so g * m packs to g + m), and the mask of
+    each field's bits but its lowest, which a packed vector misses iff it is square-free."""
+    w = max(1, k.bit_length())
+    return w, ((1 << w) - 2) * _pack((1,) * n, w)
+
+
+@lru_cache(maxsize=None)
+def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
+    """degree_monomials(n, j) in the same order, each packed with fields of w bits."""
+    return tuple(_pack(m, w) for m in degree_monomials(n, j))
+
+
+def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:
+    """I_k as exponent vectors packed as by packing(n, k): the products g * m over the
+    generators g of degree at most k and the monomials m of degree k - deg g."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    return {
-        tuple(map(add, g.exponents, m))
-        for g in ideal.generators if g.degree <= k
-        for m in degree_monomials(ideal.ambient_vars, k - g.degree)
-    }
+    n = ideal.ambient_vars
+    w, _ = packing(n, k)
+    return {p + m for g in ideal.generators if (j := k - g.degree) >= 0
+            for p in (_pack(g.exponents, w),) for m in packed_monomials(n, j, w)}
 
 
 def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:

@@ -72,8 +72,9 @@ def census():
             g = Graph.from_edge_mask(n, mask)
             ideal = edge_ideal(g)
             report = certify(ideal)
+            star = is_star(g)  # once per graph: the kernel check and the record share it
             assert _check_mask_range((n, mask, mask + 1)) == (
-                1, is_star(g), report.is_gotzmann, None
+                1, star, report.is_gotzmann, None
             )
             # one face growth per graph; a count per size would regrow the levels
             counts = f_vector(stanley_reisner_complex(ideal)).counts
@@ -81,7 +82,7 @@ def census():
                 CensusRecord(
                     n=n,
                     edges=g.edge_count,
-                    star=is_star(g),
+                    star=star,
                     gotzmann=report.is_gotzmann,
                     square_free_check=report.square_free_check,
                     independence_f_vector=counts,

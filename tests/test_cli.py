@@ -241,6 +241,17 @@ class TestVerify:
         )
         assert first == second
 
+    def test_machine_bytes_pinned(self, capsys):
+        # the exact stdout every change to the kernel or its tables must keep
+        code, out, _ = run(
+            capsys, "verify-star-theorem", "--max-vertices", "6", "--machine"
+        )
+        assert code == 0
+        assert out == (
+            "max_vertices=6\ngraphs_checked=33867\nstars_found=271\n"
+            "gotzmann_found=271\nmismatches=0\n"
+        )
+
     def test_refuses_hours_long_vertex_count(self, capsys):
         code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "9")
         assert code == 2

@@ -93,6 +93,15 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError):
             SimplicialComplex.from_faces(2, [{3}])
 
+    @pytest.mark.parametrize(
+        "ground_size, faces, message",
+        [(0, [{1}], "ground set must be non-empty"), (2, [{1}, {1, 3}], "face mask 5 outside vertices 1..2")],
+        ids=["empty ground set", "vertex past ground set"],
+    )
+    def test_from_faces_checks_ground_set(self, ground_size, faces, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex.from_faces(ground_size, faces)
+
     def test_faces_and_dimension(self):
         c = SimplicialComplex.from_faces(3, [{1, 2, 3}])
         assert c.dimension == 2
@@ -356,3 +365,30 @@ class TestCompressedComplex:
         fv = f_vector(stanley_reisner_complex(i))
         if fv.counts:
             assert f_vector(compressed_complex(fv)).counts == fv.counts
+
+
+def assert_fully_checked(c):
+    """The builders skip the constructor's checks; the full check must accept their output."""
+    rebuilt = SimplicialComplex(c.ground_size, c.faces)
+    assert rebuilt == c and hash(rebuilt) == hash(c)
+
+
+class TestBuildersAreClosed:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stanley_reisner_complex(self, data):
+        assert_fully_checked(stanley_reisner_complex(random_squarefree_ideals(max_n=7)(data)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_compressed_complex(self, data):
+        fv = f_vector(stanley_reisner_complex(random_squarefree_ideals(max_n=7)(data)))
+        if fv.counts:
+            assert_fully_checked(compressed_complex(fv))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_from_faces(self, data):
+        n = data.draw(st.integers(1, 7))
+        drawn = data.draw(st.lists(st.frozensets(st.integers(1, n), max_size=n), max_size=6))
+        assert_fully_checked(SimplicialComplex.from_faces(n, drawn))

@@ -10,12 +10,14 @@ from gotzmann.monomials import (
     MonomialIdeal,
     contains,
     degree_monomials,
+    degree_part,
     hilbert_ideal,
     hilbert_quotient,
     hilbert_ring,
     lex_segment_ideal,
+    packing,
 )
-from oracles import all_monomials, count_in_ideal
+from oracles import all_monomials, count_in_ideal, divides
 
 
 def ideal(n, *gens, degree=None):
@@ -166,6 +168,47 @@ class TestHilbertIdeal:
         bigger = ideal(4, (1, 1, 0, 0), (0, 0, 1, 1))
         for k in range(2, 6):
             assert hilbert_ideal(base, k) <= hilbert_ideal(bigger, k)
+
+
+# The packed field width is max(1, k.bit_length()): it changes between 1 and 2,
+# 3 and 4, 7 and 8, and at k = 1, 3 and 7 a pure power x_i^k fills its field.
+WIDTH_BOUNDARIES = (1, 2, 3, 4, 7, 8)
+
+
+class TestPackedEnumeration:
+    def test_layout(self):
+        # k = 2 packs two bits per variable: x1 * x2 = 1 + 4, x2^2 = 2 << 2
+        assert packing(2, 2) == (2, 0b1010)
+        assert degree_part(ideal(2, (0, 1)), 2) == {5, 8}
+
+    @pytest.mark.parametrize("k", WIDTH_BOUNDARIES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pure_powers(self, n, k):
+        for d in range(1, k + 1):
+            powers = [tuple(d * (j == i) for j in range(n)) for i in range(n)]
+            for gens in ([powers[0]], [powers[-1]], powers):
+                i = ideal(n, *gens)
+                assert hilbert_ideal(i, k) == count_in_ideal(gens, n, k), (gens, k)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_degrees(self, n, data):
+        pool = [m for d in range(1, 5) for m in all_monomials(n, d)]
+        gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        i = MonomialIdeal.from_generators(n, [Monomial(g) for g in gens])
+        for k in WIDTH_BOUNDARIES:
+            assert hilbert_ideal(i, k) == count_in_ideal(gens, n, k)
+
+    @pytest.mark.parametrize("k", WIDTH_BOUNDARIES)
+    def test_squarefree_mask(self, k):
+        n = max(k, 2)
+        gens = [(1,) + (0,) * (n - 1), (0, 2) + (0,) * (n - 2), (0,) * (n - 1) + (1,)]
+        expected = sum(
+            1 for m in all_monomials(n, k)
+            if max(m) <= 1 and any(divides(g, m) for g in gens)
+        )
+        _, high = packing(n, k)
+        assert sum(1 for m in degree_part(ideal(n, *gens), k) if not m & high) == expected
 
 
 class TestLexSegment:
