@@ -1,17 +1,15 @@
 """The Gotzmann certifier and the exhaustive star-graph theorem verifier.
 
-The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The
-verifier runs through every edge mask, ORing the cached bitsets of degree-3
-multiples of its low and high edge halves, so H(I, 3) is a popcount.  Closed
-forms are cross-checks.
+The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
+checks one graph per orbit of relabelings fixing vertices 1 and 2, weighted by orbit size;
+cached bitsets of degree-3 multiples make H(I, 3) a popcount.  Closed forms cross-check.
 """
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
@@ -140,89 +138,91 @@ def _subset_table(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], 
     return tuple(table)
 
 
-def _check_mask_range(args: tuple[int, int, int]) -> tuple[int, int, int, tuple[int, int, str] | None]:
-    """Worker: check the edge masks [start, stop) on n vertices in increasing
-    order, each from one entry of the subset tables of the low and the high
-    half of the edges.  Returns (checked, stars, gotzmann, first failure as
-    (n, mask, reason))."""
-    n, start, stop = args
+@lru_cache(maxsize=None)
+def _bounds(n: int, macaulay: Callable, kk: Callable) -> tuple[tuple[int, int], ...]:
+    """Per edge count e on n vertices, the Macaulay bound on H(P/I, 3) and the
+    Kruskal-Katona bound on f_2; keyed by the pseudo-powers too, so a patched one counts."""
+    return tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
+                 for e in range(binomial(n, 2) + 1))
+
+
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(free, ((fixed, weight), ...)): one edge mask per orbit of the relabelings fixing
+    vertex 1, then vertex 2, with the orbit size.  N(1) becomes {2..k+1}, in C(n-1, k) ways;
+    with j = max(k, 1), N(2) within 3..n becomes {3..a+2} u {j+2..j+b+1}, in C(j-1, a)
+    C(n-1-j, b) ways.  The C(n-2, 2) edges among 3..n, last in edge_pairs(n), stay free."""
+    if n == 1:
+        return 0, ((0, 1),)
+    bit = {p: 1 << i for i, p in enumerate(edge_pairs(n))}
+    return binomial(n - 2, 2), tuple(
+        (sum(bit[1, v] for v in range(2, k + 2))
+         | sum(bit[2, v] for v in (*range(3, a + 3), *range(j + 2, j + b + 2))),
+         binomial(n - 1, k) * binomial(j - 1, a) * binomial(n - 1 - j, b))
+        for k in range(n) for j in [max(k, 1)] for a in range(j) for b in range(n - j))
+
+
+def _check_block(n: int, fixed: int, free: int) -> tuple[int, int, int]:
+    """(checked, stars, gotzmann) over the 2^free masks fixed | f << (C(n, 2) - free), the free
+    edges being the last of edge_pairs(n): fixed edges fold into one OR and AND, each mask
+    is one entry per half-table of the free edges; a failure raises StarTheoremMismatch."""
     edges, squarefree = _edge_tables(n)
-    if not 0 <= start <= stop <= 1 << len(edges):
+    shift = len(edges) - free
+    if not 0 <= shift <= len(edges) or fixed < 0 or fixed >> shift:
         raise ValueError("edge mask out of range")
-    half = len(edges) // 2
-    low, high = _subset_table(edges[:half]), _subset_table(edges[half:])
-    low_bits = (1 << half) - 1
-    ring3, faces3 = binomial(n + 2, 3), binomial(n, 3)
-    stars = gotzmann = 0
-    failure = None
-    bounds: dict[int, tuple[int, int]] = {}  # per edge count: Macaulay and KK bounds
-    for mask in range(start, stop):
-        low_multiples, low_common = low[mask & low_bits]
-        high_multiples, high_common = high[mask >> half]
-        multiples, common = low_multiples | high_multiples, low_common & high_common
-        e, h3 = mask.bit_count(), ring3 - multiples.bit_count()
-        macaulay, kk = bounds.get(e) or bounds.setdefault(e, (
-            macaulay_pseudopower(binomial(n + 1, 2) - e, 2),
-            kruskal_katona_pseudopower(binomial(n, 2) - e, 2)))
-        if h3 > macaulay:
-            raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
-        # The AND of no vertex masks is every vertex, so e <= 1 is a star.
-        star, gotz = common != 0, h3 == macaulay
-        if star or gotz:
-            stars += star
-            gotzmann += gotz
-            f2 = faces3 - (multiples & squarefree).bit_count()
-            if failure is None and (gotz != star or gotz and (e >= n or f2 != kk)):
-                failure = (n, mask, f"is_gotzmann={gotz}, is_star={star}, e={e}, "
-                                    f"f_2={f2} against the Kruskal-Katona bound {kk}")
-    return stop - start, stars, gotzmann, failure
+    fixed_multiples, fixed_common = 0, -1
+    for multiples, vertices in (edge for i, edge in enumerate(edges[:shift]) if fixed >> i & 1):
+        fixed_multiples, fixed_common = fixed_multiples | multiples, fixed_common & vertices
+    half = shift + free // 2
+    low = [(m, v, lo.bit_count(), lo) for lo, (m, v) in enumerate(_subset_table(edges[shift:half]))]
+    bounds = _bounds(n, macaulay_pseudopower, kruskal_katona_pseudopower)[fixed.bit_count():]
+    ring3, stars, gotzmann = binomial(n + 2, 3), 0, 0
+    for hi, (high_multiples, high_common) in enumerate(_subset_table(edges[half:])):
+        high_multiples, high_common = high_multiples | fixed_multiples, high_common & fixed_common
+        row_bounds = bounds[hi.bit_count():]
+        for low_multiples, low_common, low_e, lo in low:
+            multiples, common = low_multiples | high_multiples, low_common & high_common
+            h3 = ring3 - multiples.bit_count()
+            macaulay, kk = row_bounds[low_e]
+            # Only a star (e <= 1 included: the AND of none is -1) or h3 at the bound goes on.
+            if common or h3 >= macaulay:
+                mask = fixed | lo << shift | hi << half
+                if h3 > macaulay:
+                    raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
+                star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
+                stars, gotzmann = stars + star, gotzmann + gotz
+                f2 = binomial(n, 3) - (multiples & squarefree).bit_count()
+                if gotz != star or gotz and (e >= n or f2 != kk):
+                    g = Graph.from_edge_mask(n, mask)
+                    raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
+                                              f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
+                                              f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
+    return 1 << free, stars, gotzmann
 
 
 def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSummary:
     """Exhaustively verify, over every labeled graph on 1..max_vertices
     vertices, that the edge ideal is Gotzmann exactly for star graphs.
 
-    Also checks on every Gotzmann instance that e < n and that f_d =
-    f_{d-1}^(d) (Kruskal-Katona).  A violation raises StarTheoremMismatch
-    carrying the graph, so a normal return reports zero mismatches; a star
-    count on n vertices other than 1 + C(n, 2) + n(2^(n-1) - n) raises
-    ArithmeticError.  max_vertices > 8 (2^36 graphs, about 8 hours on one core) and
-    workers > CPU count raise ValueError.
+    Relabeling vertices changes neither the Hilbert function nor star-ness, so each n
+    checks the blocks of _representatives(n), weighted by orbit size: every count is
+    labeled.  A Gotzmann instance also needs e < n and f_d = f_{d-1}^(d) (Kruskal-Katona),
+    or StarTheoremMismatch carries the graph.  Weights not summing to 2^C(n, 2), or other
+    than 1 + C(n, 2) + n(2^(n-1) - n) stars on n vertices, raise ArithmeticError.
+    max_vertices outside 1..9, and workers != 1 (kept for callers passing 1), raise ValueError.
     """
-    if not 1 <= max_vertices <= 8:
-        raise ValueError("max_vertices must be in 1..8")
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ValueError(f"workers must be in 1..{cpus} (the CPU count)")
+    if not 1 <= max_vertices <= 9 or workers != 1:
+        raise ValueError(f"max_vertices must be in 1..9 and workers 1, not {max_vertices} and {workers}")
     start_time = time.perf_counter()
-
-    jobs = []
+    totals = [0, 0, 0]  # labeled graphs, stars, Gotzmann
     for n in range(1, max_vertices + 1):
-        total = 1 << len(edge_pairs(n))
-        jobs.extend((n, total * i // workers, total * (i + 1) // workers) for i in range(workers))
-
-    if workers == 1:
-        results = list(map(_check_mask_range, jobs))
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_check_mask_range, jobs, chunksize=1)
-
-    failure = next(filter(None, (r[3] for r in results)), None)
-    if failure is not None:
-        n, mask, reason = failure
-        g = Graph.from_edge_mask(n, mask)
-        raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
-                                  f"{reason}\n{format_graph(g)}", g)
-    for n in range(1, max_vertices + 1):
-        stars = sum(r[1] for job, r in zip(jobs, results) if job[0] == n)
-        if stars != 1 + binomial(n, 2) + n * (2 ** (n - 1) - n):
-            raise ArithmeticError(f"{stars} labeled stars found on {n} vertices")
-
-    return StarTheoremSummary(
-        max_vertices=max_vertices,
-        graphs_checked=sum(r[0] for r in results),
-        stars_found=sum(r[1] for r in results),
-        gotzmann_found=sum(r[2] for r in results),
-        mismatches=0,
-        wall_time_seconds=time.perf_counter() - start_time,
-    )
+        free, representatives = _representatives(n)
+        counts = [0, 0, 0]
+        for fixed, weight in representatives:
+            counts = [c + weight * b for c, b in zip(counts, _check_block(n, fixed, free))]
+        if counts[0] != 1 << binomial(n, 2):
+            raise ArithmeticError(f"orbit weights cover {counts[0]} graphs on {n} vertices, not 2^C(n, 2)")
+        if counts[1] != 1 + binomial(n, 2) + n * (2 ** (n - 1) - n):
+            raise ArithmeticError(f"{counts[1]} labeled stars found on {n} vertices")
+        totals = [t + c for t, c in zip(totals, counts)]
+    return StarTheoremSummary(max_vertices, *totals, 0, time.perf_counter() - start_time)

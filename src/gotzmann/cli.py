@@ -116,7 +116,7 @@ def _cmd_gotzmann(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        summary = certifier.verify_star_theorem(args.max_vertices, args.workers)
+        summary = certifier.verify_star_theorem(args.max_vertices)
     except certifier.StarTheoremMismatch as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 1
@@ -212,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "that edge ideals are Gotzmann exactly for stars",
     )
     p.add_argument("--max-vertices", required=True, type=int, metavar="N")
-    p.add_argument("--workers", type=int, default=1, metavar="W")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

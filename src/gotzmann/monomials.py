@@ -41,7 +41,7 @@ class Monomial:
             exps[v - 1] = 1
         return cls(tuple(exps))
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return sum(self.exponents)
 

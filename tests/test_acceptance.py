@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from gotzmann.certifier import (
-    _check_mask_range,
+    _check_block,
     certify,
     gotzmann_value_deg2,
     verify_star_theorem,
@@ -73,9 +73,7 @@ def census():
             ideal = edge_ideal(g)
             report = certify(ideal)
             star = is_star(g)  # once per graph: the kernel check and the record share it
-            assert _check_mask_range((n, mask, mask + 1)) == (
-                1, star, report.is_gotzmann, None
-            )
+            assert _check_block(n, mask, 0) == (1, star, report.is_gotzmann)
             # one face growth per graph; a count per size would regrow the levels
             counts = f_vector(stanley_reisner_complex(ideal)).counts
             records.append(

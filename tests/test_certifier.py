@@ -9,16 +9,17 @@ from gotzmann import certifier
 from gotzmann.certifier import (
     GotzmannReport,
     StarTheoremMismatch,
-    _check_mask_range,
+    _check_block,
     _edge_tables,
+    _representatives,
     _subset_table,
     certify,
     check_edge_bound,
     gotzmann_value_deg2,
     verify_star_theorem,
 )
-from gotzmann.combinatorics import kruskal_katona_pseudopower
-from gotzmann.graphs import Graph, edge_ideal, edge_pairs
+from gotzmann.combinatorics import binomial, kruskal_katona_pseudopower
+from gotzmann.graphs import Graph, edge_ideal, edge_pairs, is_star
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
@@ -183,29 +184,15 @@ class TestVerifyStarTheorem:
         assert summary.gotzmann_found == summary.stars_found
         assert summary.mismatches == 0
 
-    def test_workers_agree_with_single_thread(self):
-        for max_vertices in (4, 5):
-            serial = verify_star_theorem(max_vertices)
-            parallel = verify_star_theorem(max_vertices, workers=2)
-            assert (
-                serial.graphs_checked,
-                serial.stars_found,
-                serial.gotzmann_found,
-                serial.mismatches,
-            ) == (
-                parallel.graphs_checked,
-                parallel.stars_found,
-                parallel.gotzmann_found,
-                parallel.mismatches,
-            )
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_star_theorem(0)
         with pytest.raises(ValueError):
-            verify_star_theorem(9)
+            verify_star_theorem(10)
         with pytest.raises(ValueError):
             verify_star_theorem(3, workers=0)
+        with pytest.raises(ValueError):
+            verify_star_theorem(3, workers=2)
 
     def test_wrong_table_entry_reports_its_graph(self, monkeypatch):
         # Count x3^3, which no edge ideal contains, as a multiple of x1*x2 on
@@ -225,41 +212,81 @@ class TestVerifyStarTheorem:
         assert "is_gotzmann=False, is_star=True" in str(info.value)
 
     def test_star_count_is_checked_per_vertex_count(self, monkeypatch):
-        def one_star_too_many(job):
-            checked, stars, gotz, failure = _check_mask_range(job)
-            return checked, stars + (job[0] == 3), gotz + (job[0] == 3), failure
+        def one_star_too_many(n, fixed, free):
+            checked, stars, gotz = _check_block(n, fixed, free)
+            return checked, stars + (n == 3), gotz + (n == 3)
 
-        monkeypatch.setattr(certifier, "_check_mask_range", one_star_too_many)
+        monkeypatch.setattr(certifier, "_check_block", one_star_too_many)
         with pytest.raises(ArithmeticError, match="on 3 vertices"):
             verify_star_theorem(4)
 
 
-class TestCheckMaskRange:
-    def test_any_range_equals_its_single_masks(self):
-        singles = [_check_mask_range((5, m, m + 1)) for m in range(3, 1000)]
-        assert _check_mask_range((5, 3, 1000)) == (
-            997,
-            sum(r[1] for r in singles),
-            sum(r[2] for r in singles),
-            None,
-        )
-        assert _check_mask_range((5, 5, 5)) == (0, 0, 0, None)
+class TestOrbitReduction:
+    def test_representative_counts_and_orbit_sum_identity(self):
+        counts = {}
+        for n in range(1, 10):
+            free, representatives = _representatives(n)
+            assert free == binomial(max(n - 2, 0), 2)
+            assert sum(weight << free for _, weight in representatives) == 1 << binomial(n, 2)
+            counts[n] = len(representatives)
+        assert (counts[1], counts[2]) == (1, 2)  # every mask is its own representative
+        assert [counts[n] for n in (6, 7, 8, 9)] == [40, 62, 91, 128]
 
-    def test_uneven_ranges_sum_to_the_whole_run(self):
-        # cut points that are no powers of two, as W equal ranges give for W = 3
-        total = 1 << len(edge_pairs(6))
-        parts = [_check_mask_range((6, lo, hi))
-                 for lo, hi in ((0, 1000), (1000, 21845), (21845, total))]
-        whole = _check_mask_range((6, 0, total))
+    def test_weighted_counts_equal_the_labeled_loop(self):
+        for n in range(1, 8):
+            free, representatives = _representatives(n)
+            weighted = [0, 0, 0]
+            for fixed, weight in representatives:
+                weighted = [w + weight * c for w, c in zip(weighted, _check_block(n, fixed, free))]
+            assert tuple(weighted) == _check_block(n, 0, binomial(n, 2))
+
+    def test_wrong_weight_breaks_the_orbit_sum(self, monkeypatch):
+        cached = certifier._representatives
+
+        def one_weight_too_many(n):
+            free, ((fixed, weight), *rest) = cached(n)
+            return free, ((fixed, weight + (n == 4)), *rest)
+
+        monkeypatch.setattr(certifier, "_representatives", one_weight_too_many)
+        with pytest.raises(ArithmeticError, match="orbit weights cover .* on 4 vertices"):
+            verify_star_theorem(5)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabeling_keeps_the_report_and_star_ness(self, data):
+        # the premise of the orbit reduction
+        n = data.draw(st.integers(1, 7))
+        g = Graph.from_edge_mask(n, data.draw(st.integers(0, (1 << binomial(n, 2)) - 1)))
+        image = data.draw(st.permutations(range(1, n + 1)))
+        relabeled = Graph.from_edge_list(n, [(image[u - 1], image[v - 1]) for u, v in g.sorted_edges()])
+        assert certify(edge_ideal(relabeled)) == certify(edge_ideal(g))
+        assert is_star(relabeled) == is_star(g)
+
+
+class TestCheckBlock:
+    def test_any_block_equals_its_single_masks(self):
+        # n = 5: ten edges, the last four free
+        for fixed in (0, 1, 0b100101, 0b111111):
+            singles = [_check_block(5, fixed | f << 6, 0) for f in range(16)]
+            assert all(r[0] == 1 for r in singles)
+            assert _check_block(5, fixed, 4) == (
+                16, sum(r[1] for r in singles), sum(r[2] for r in singles)
+            )
+        assert _check_block(5, 0, 0) == (1, 1, 1)  # the edgeless graph
+
+    def test_blocks_sum_to_the_whole_run(self):
+        # fixing the first three edges in all eight ways splits the labeled loop
+        total = binomial(6, 2)
+        parts = [_check_block(6, fixed, total - 3) for fixed in range(8)]
+        whole = _check_block(6, 0, total)
         # 1 + C(6, 2) + 6(2^5 - 6) = 172 labeled stars, each Gotzmann
-        assert whole == (total, 172, 172, None)
-        assert tuple(sum(r[i] for r in parts) for i in range(3)) + (None,) == whole
+        assert whole == (1 << total, 172, 172)
+        assert tuple(sum(r[i] for r in parts) for i in range(3)) == whole
 
     def test_out_of_range_masks(self):
-        with pytest.raises(ValueError):
-            _check_mask_range((3, 0, 9))
-        with pytest.raises(ValueError):
-            _check_mask_range((3, 2, 1))
+        for fixed, free in ((0, 4), (0, -1), (1 << 3, 0), (1 << 2, 1), (-1, 0)):
+            with pytest.raises(ValueError):
+                _check_block(3, fixed, free)
 
 
 class TestSubsetTable:

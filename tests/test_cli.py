@@ -1,11 +1,9 @@
 """End-to-end tests of the command-line interface."""
 import argparse
-import os
 import time
 
 import pytest
 
-from gotzmann import certifier
 from gotzmann.cli import _build_parser, main
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
@@ -252,22 +250,23 @@ class TestVerify:
             "gotzmann_found=271\nmismatches=0\n"
         )
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_machine_bytes_pinned_beyond_six(self, capsys, n):
+        # labeled counts, though the verifier checks one graph per orbit
+        graphs, stars = {7: (2131019, 692), 8: (270566475, 1681)}[n]
+        code, out, _ = run(
+            capsys, "verify-star-theorem", "--max-vertices", str(n), "--machine"
+        )
+        assert code == 0
+        assert out == (
+            f"max_vertices={n}\ngraphs_checked={graphs}\nstars_found={stars}\n"
+            f"gotzmann_found={stars}\nmismatches=0\n"
+        )
+
     def test_refuses_hours_long_vertex_count(self, capsys):
-        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "9")
+        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "10")
         assert code == 2
         assert "max_vertices" in err
-
-    def test_refuses_more_workers_than_cpus(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(certifier.multiprocessing, "Pool", no_pool)
-        code, _, err = run(
-            capsys, "verify-star-theorem", "--max-vertices", "1",
-            "--workers", str((os.cpu_count() or 1) + 1),
-        )
-        assert code == 2
-        assert "workers" in err
 
     def test_human_mentions_wall_time(self, capsys):
         code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "2")

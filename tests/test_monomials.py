@@ -44,6 +44,12 @@ class TestMonomial:
         assert not m.is_squarefree
         assert Monomial((1, 1, 0)).is_squarefree
 
+    def test_cached_degree_leaves_equality_and_hash_alone(self):
+        read, fresh = Monomial((2, 0, 1)), Monomial((2, 0, 1))
+        assert read.degree == 3
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read != Monomial((1, 1, 1))  # same degree, other exponents
+
     def test_support_is_one_indexed(self):
         assert Monomial((0, 1, 2)).support == frozenset({2, 3})
 
