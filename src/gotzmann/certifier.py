@@ -105,7 +105,9 @@ class StarTheoremMismatch(AssertionError):
 
 @dataclass(frozen=True)
 class StarTheoremSummary:
-    """Aggregated result of the exhaustive labeled-graph verification."""
+    """Aggregated result of the exhaustive labeled-graph verification.  ``mismatches``
+    is always 0, since every failure raises StarTheoremMismatch instead of being
+    counted; it stays because ``--machine`` output and bench/ read it."""
 
     max_vertices: int
     graphs_checked: int

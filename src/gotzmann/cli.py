@@ -33,11 +33,7 @@ def _cmd_macaulay_rep(args) -> int:
         print(f"d={args.d}")
         print("coefficients=" + " ".join(str(b) for b in rep.coefficients))
     else:
-        terms = " + ".join(
-            f"C({b},{i})"
-            for b, i in zip(rep.coefficients, range(args.d, 0, -1))
-        )
-        print(f"{args.a} = {terms}")
+        print(f"{args.a} = " + " + ".join(f"C({b},{i})" for b, i in rep.terms))
     return 0
 
 

@@ -6,9 +6,7 @@ are the bedrock for every Hilbert-function bound in the rest of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, repeat
 from math import comb as binomial  # C(p, q), 0 for p < q; refuses negative or non-int
-from typing import Callable, Iterable
 
 MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes over all coefficients
 
@@ -39,12 +37,14 @@ class MacaulayRep:
     def degree(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (b_i, i), largest index first: a is the sum of C(b_i, i) over them."""
+        return tuple(zip(self.coefficients, range(self.degree, 0, -1)))
+
     def value(self) -> int:
         """Evaluate the representation back to the integer it encodes."""
-        return sum(
-            binomial(b, i)
-            for b, i in zip(self.coefficients, range(self.degree, 0, -1))
-        )
+        return sum(binomial(b, i) for b, i in self.terms)
 
 
 def _largest_base(a: int, i: int) -> int:
@@ -92,11 +92,7 @@ def macaulay_pseudopower(a: int, d: int) -> int:
     Upper-bounds the growth of quotient Hilbert functions from degree d to
     degree d + 1.
     """
-    rep = macaulay_rep(a, d)
-    return sum(
-        binomial(b + 1, i + 1)
-        for b, i in zip(rep.coefficients, range(d, 0, -1))
-    )
+    return sum(binomial(b + 1, i + 1) for b, i in macaulay_rep(a, d).terms)
 
 
 def kruskal_katona_pseudopower(a: int, d: int) -> int:
@@ -104,20 +100,4 @@ def kruskal_katona_pseudopower(a: int, d: int) -> int:
 
     Upper-bounds the growth of f-vectors of simplicial complexes.
     """
-    rep = macaulay_rep(a, d)
-    return sum(
-        binomial(b, i + 1)
-        for b, i in zip(rep.coefficients, range(d, 0, -1))
-    )
-
-
-def minimal_elements(items: Iterable, rank: Callable, below: Callable) -> list:
-    """The distinct items that no other item lies below, lowest rank first.
-
-    Needs below(a, b) to imply rank(a) < rank(b) for distinct a, b: each item
-    is compared only with those kept from lower ranks, never within its rank.
-    """
-    kept: list = []
-    for _, group in groupby(sorted(set(items), key=rank), key=rank):
-        kept.extend([x for x in group if not any(map(below, kept, repeat(x)))])
-    return kept
+    return sum(binomial(b, i + 1) for b, i in macaulay_rep(a, d).terms)

@@ -2,8 +2,8 @@
 
 A complex is stored as its full face set of int vertex masks (bit v - 1 is
 vertex v, so colex order of k-subsets is numeric order), with at most
-MAX_COMPLEX_FACES faces: larger complex files are refused when parsed, and
-Stanley-Reisner complexes while their faces are grown.
+MAX_COMPLEX_FACES faces: from_faces refuses faces with more subsets in all, and
+Stanley-Reisner complexes are refused while their faces are grown.
 """
 from __future__ import annotations
 
@@ -75,13 +75,17 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-        """Build the smallest complex containing the given faces: all their subsets."""
+        """Build the smallest complex containing the given faces: all their subsets; ValueError,
+        before any is built, if the faces have more than MAX_COMPLEX_FACES subsets in all."""
         if ground_size < 1:
             raise ValueError("ground set must be non-empty")
+        masks = list(map(_mask, faces))
+        if (top := max(masks, default=0)) >> ground_size:
+            raise ValueError(f"face mask {top} outside vertices 1..{ground_size}")
+        if (subsets := sum(1 << face.bit_count() for face in masks)) > MAX_COMPLEX_FACES:
+            raise ValueError(f"faces with {subsets} subsets may give more than {MAX_COMPLEX_FACES} faces")
         closure = {0}
-        for face in map(_mask, faces):
-            if face >> ground_size:
-                raise ValueError(f"face mask {face} outside vertices 1..{ground_size}")
+        for face in masks:
             sub = face
             while sub:  # every submask of the face, down to the empty face
                 closure.add(sub)
@@ -142,7 +146,7 @@ def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     ValueError once there are more than MAX_COMPLEX_FACES of them."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
-    supports = frozenset(sum(e << i for i, e in enumerate(g.exponents)) for g in ideal.generators)
+    supports = frozenset(_mask(g.support) for g in ideal.generators)
     level, total = frozenset({0}), 1
     while level:
         yield level
@@ -177,7 +181,7 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     arbitrary complex need not all have the same degree.
     """
     n, faces = complex_.ground_size, complex_.faces
-    return frozenset(Monomial(tuple(map(int, f"{s:0{n}b}"[::-1]))) for s in _extensions(faces, n, faces))
+    return frozenset(Monomial.squarefree(n, _vertices(s)) for s in _extensions(faces, n, faces))
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:

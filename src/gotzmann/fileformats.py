@@ -7,7 +7,7 @@ lines starting with ``#`` are comments.  Variables and vertices are
 """
 from __future__ import annotations
 
-from .complexes import MAX_COMPLEX_FACES, SimplicialComplex
+from .complexes import SimplicialComplex
 from .graphs import Graph
 from .monomials import Monomial, MonomialIdeal
 
@@ -148,12 +148,17 @@ def parse_complex(text: str) -> SimplicialComplex:
         facets.append(vertices)
     if not facets:
         raise InputFormatError("line 1: complex file lists no facets")
-    if sum(1 << len(f) for f in facets) > MAX_COMPLEX_FACES:
-        raise InputFormatError(f"complex file describes more than {MAX_COMPLEX_FACES} faces")
-    return SimplicialComplex.from_faces(n, facets)
+    try:
+        return SimplicialComplex.from_faces(n, facets)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 def format_complex(complex_: SimplicialComplex) -> str:
+    """The complex file of a complex, facets sorted.  ValueError for the complex {∅}:
+    its one facet is empty, and an empty facet would be a blank line, which is skipped."""
+    if complex_.faces == {0}:
+        raise ValueError("the complex {∅} has an empty facet, which a complex file cannot hold")
     lines = [str(complex_.ground_size)]
     for facet in sorted(sorted(f) for f in complex_.facets):
         lines.append(" ".join(str(v) for v in facet))

@@ -128,10 +128,8 @@ def dependent_triples_through_closed_form(g: Graph, v: int) -> int:
     """Closed form C(d, 2) + d(n - d - 1) + |E(G minus N[v])| for the same count."""
     d = g.degree(v)
     n = g.vertex_count
-    if len({v} | g.neighbors(v)) == n:
-        leftover_edges = 0
-    else:
-        leftover_edges = g.delete_closed_neighborhood(v).edge_count
+    closed = {v} | g.neighbors(v)
+    leftover_edges = sum(1 for e in g.edges if e.isdisjoint(closed))
     return binomial(d, 2) + d * (n - d - 1) + leftover_edges
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from operator import attrgetter, lshift
 from typing import Iterable
 
-from .combinatorics import binomial, minimal_elements
+from .combinatorics import binomial
 
 MAX_DEGREE_MONOMIALS = 1 << 20  # cap on one degree's monomials: 10^7 tuples take about 1 GB
 
@@ -41,7 +42,7 @@ class Monomial:
             exps[v - 1] = 1
         return cls(tuple(exps))
 
-    @cached_property
+    @property
     def degree(self) -> int:
         return sum(self.exponents)
 
@@ -72,8 +73,13 @@ class Monomial:
 
 
 def _minimal_generators(generators: Iterable[Monomial]) -> list[Monomial]:
-    """The distinct generators that no other generator divides."""
-    return minimal_elements(generators, attrgetter("degree"), Monomial.divides)
+    """The distinct generators that no other generator divides, lowest degree first; a
+    divisor has lower degree, so each is compared only with those kept from lower degrees."""
+    by_degree = attrgetter("degree")
+    kept: list[Monomial] = []
+    for _, group in groupby(sorted(set(generators), key=by_degree), by_degree):
+        kept.extend([g for g in group if not any(k.divides(g) for k in kept)])
+    return kept
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ from gotzmann.combinatorics import (
     kruskal_katona_pseudopower,
     macaulay_pseudopower,
     macaulay_rep,
-    minimal_elements,
 )
-from oracles import divides, minimal_under, pascal_triangle
+from oracles import pascal_triangle
 
 
 class TestBinomial:
@@ -56,6 +55,12 @@ class TestMacaulayRep:
     def test_zero_padding(self):
         assert macaulay_rep(0, 3).coefficients == (2, 1, 0)
         assert macaulay_rep(0, 3).value() == 0
+
+    def test_terms_pair_each_coefficient_with_its_index(self):
+        rep = macaulay_rep(23, 2)
+        assert rep.terms == ((7, 2), (2, 1))
+        assert sum(binomial(b, i) for b, i in rep.terms) == rep.value() == 23
+        assert macaulay_rep(0, 3).terms == ((2, 3), (1, 2), (0, 1))
 
     def test_lemma_shaped_example(self):
         # 23 = C(7,2) + C(2,1), the H(P/I,2) value of the 7-vertex star
@@ -161,36 +166,3 @@ class TestPseudoPowers:
     @settings(max_examples=200)
     def test_kk_below_macaulay(self, a, d):
         assert kruskal_katona_pseudopower(a, d) <= macaulay_pseudopower(a, d)
-
-
-def _sets(n):
-    return st.frozensets(st.integers(1, n), max_size=n)
-
-
-class TestMinimalElements:
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=25)
-        )
-    )
-    @settings(max_examples=200)
-    def test_divisibility_matches_oracle(self, vectors):
-        kept = minimal_elements(
-            vectors, sum, lambda a, b: a != b and divides(a, b)
-        )
-        assert len(kept) == len(set(kept))
-        assert set(kept) == minimal_under(vectors, divides)
-
-    @given(st.lists(_sets(6), max_size=30))
-    @settings(max_examples=200)
-    def test_minimal_sets_match_oracle(self, family):
-        kept = minimal_elements(family, len, frozenset.__lt__)
-        assert len(kept) == len(set(kept))
-        assert set(kept) == minimal_under(family, lambda a, b: a <= b)
-
-    @given(st.lists(_sets(6), max_size=30))
-    @settings(max_examples=200)
-    def test_maximal_sets_match_oracle(self, family):
-        kept = minimal_elements(family, lambda s: -len(s), frozenset.__gt__)
-        assert len(kept) == len(set(kept))
-        assert set(kept) == minimal_under(family, lambda a, b: a >= b)

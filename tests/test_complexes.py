@@ -1,5 +1,6 @@
 """Tests for complexes, the Stanley-Reisner correspondence and f-vectors."""
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -108,6 +109,23 @@ class TestSimplicialComplex:
         assert len(c.faces) == 8  # includes the empty face
         assert c.is_face({1, 3})
         assert not SimplicialComplex.from_faces(3, [{1, 2}]).is_face({1, 3})
+
+
+    def test_face_cap_refuses_before_building(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {MAX_COMPLEX_FACES} faces"):
+            SimplicialComplex.from_faces(30, [range(1, 31)])
+        assert time.perf_counter() - started < 0.5
+
+    def test_face_cap_admits_one_facet_of_exactly_the_cap(self):
+        assert MAX_COMPLEX_FACES == 1 << 16
+        assert len(SimplicialComplex.from_faces(16, [range(1, 17)]).faces) == 1 << 16
+
+    def test_face_cap_both_sides(self, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_COMPLEX_FACES", 16)
+        assert len(SimplicialComplex.from_faces(5, [range(1, 5)]).faces) == 16
+        with pytest.raises(ValueError, match="more than 16 faces"):
+            SimplicialComplex.from_faces(5, [range(1, 5), [5]])  # 2^4 + 2^1 subsets
 
 
 class TestStanleyReisner:

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
+from gotzmann.complexes import MAX_COMPLEX_FACES, stanley_reisner_complex
 from gotzmann.fileformats import (
-    MAX_COMPLEX_FACES,
     InputFormatError,
     format_complex,
     format_graph,
@@ -97,6 +97,14 @@ class TestComplexFiles:
     def test_round_trip(self):
         c = parse_complex("4\n2 3 4\n1 2\n1 3\n")
         assert parse_complex(format_complex(c)) == c
+
+    def test_complex_of_the_empty_face_refused(self):
+        # the Stanley-Reisner complex of (x1, x2, x3) is {∅}: its one facet is empty
+        variables = [Monomial.squarefree(3, [v]) for v in (1, 2, 3)]
+        c = stanley_reisner_complex(MonomialIdeal.from_generators(3, variables))
+        assert c.faces == {0}
+        with pytest.raises(ValueError, match="empty facet"):
+            format_complex(c)
 
     def test_errors(self):
         with pytest.raises(InputFormatError, match="line 2"):

@@ -17,7 +17,7 @@ from gotzmann.monomials import (
     lex_segment_ideal,
     packing,
 )
-from oracles import all_monomials, count_in_ideal, divides
+from oracles import all_monomials, count_in_ideal, divides, minimal_under
 
 
 def ideal(n, *gens, degree=None):
@@ -68,6 +68,12 @@ class TestMonomial:
         assert str(Monomial((2, 1, 0))) == "x1^2*x2"
 
 
+def exponent_lists(max_size):
+    """A variable count n <= 4 and non-zero exponent vectors over n variables, of mixed degrees."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=max_size)))
+
+
 class TestMonomialIdeal:
     def test_normalization_removes_redundant(self):
         i = ideal(3, (1, 1, 0), (1, 1, 1))
@@ -91,6 +97,24 @@ class TestMonomialIdeal:
         x1, x1x2 = Monomial((1, 0, 0)), Monomial((1, 1, 0))
         with pytest.raises(ValueError, match="redundant"):
             MonomialIdeal(3, None, frozenset({x1, x1x2}))
+
+    @given(exponent_lists(max_size=25))
+    @settings(max_examples=200)
+    def test_minimal_generators_match_oracle(self, drawn):
+        n, vectors = drawn
+        kept = MonomialIdeal.from_generators(n, map(Monomial, vectors)).generators
+        assert {g.exponents for g in kept} == minimal_under(vectors, divides)
+
+    @given(exponent_lists(max_size=6))
+    @settings(max_examples=200)
+    def test_direct_construction_needs_an_antichain(self, drawn):
+        n, vectors = drawn
+        gens = frozenset(map(Monomial, vectors))
+        if minimal_under(vectors, divides) == set(vectors):
+            assert MonomialIdeal(n, None, gens).generators == gens
+        else:
+            with pytest.raises(ValueError, match="redundant"):
+                MonomialIdeal(n, None, gens)
 
     def test_generator_outside_ambient(self):
         with pytest.raises(ValueError):
