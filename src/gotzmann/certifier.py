@@ -2,13 +2,19 @@
 
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
 checks one graph per orbit of relabelings fixing vertices 1 and 2, weighted by orbit size;
-cached bitsets of degree-3 multiples make H(I, 3) a popcount.  Closed forms cross-check.
+cached bitsets of degree-3 multiples make H(I, 3) a popcount.  Up to 2^12 graphs, the
+subsets of the first free edges, are lanes of one int: each owns a field topped by a guard
+bit, so one subtraction compares every lane's H(P/I, 3) with its Macaulay bound (Lamport's
+guard-bit trick).  Only lanes at the bound or stars reach the scalar checks; since each
+Gotzmann graph is at its bound, no Gotzmann or star graph skips them.  Closed forms
+cross-check.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable
 
 from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
@@ -164,41 +170,83 @@ def _representatives(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         for k in range(n) for j in [max(k, 1)] for a in range(j) for b in range(n - j))
 
 
+@lru_cache(maxsize=None)
+def _lanes(n: int, low: tuple[tuple[int, int], ...], bounds: tuple[tuple[int, int], ...]) -> tuple:
+    """Packed tables for the low edges: lane L, one per subset of them, owns the w-bit field at
+    bit L*w of an int, whose top bit is its guard.  Returns w; ``ones``, a 1 in each field;
+    per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing some degree-3
+    monomials, (those monomials as a bitset, a 1 in each lane holding one of the edges); per
+    vertex v, (1 << v, the guard bits of the lanes whose edges all hold v); _subset_table(low).
+    Keyed by the edges and bounds themselves, so they follow _edge_tables and the pseudo-powers."""
+    ring3 = binomial(n + 2, 3)
+    w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
+    # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
+    ones, mac = 1, [min(max(macaulay, 0), ring3 + 1) for macaulay, _ in bounds]
+    planes, stars = [(reduce(or_, (multiples for multiples, _ in low), 0), 0)], [1] * (n + 1)
+    for k, (multiples, vertices) in enumerate(low):  # lanes 2^k..2^(k+1)-1 add low edge k
+        width, holders = w << k, ones << (w << k)
+        mac = [a | b << width for a, b in zip(mac, mac[1:])]
+        planes = [part for group, p in planes for part in ((group & ~multiples, p | p << width),
+                                                         (group & multiples, p | p << width | holders)) if part[0]]
+        stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
+        ones |= holders
+    stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars) if v)
+    return w, ones, tuple(mac), tuple(planes), stars, _subset_table(low)
+
+
 def _check_block(n: int, fixed: int, free: int) -> tuple[int, int, int]:
     """(checked, stars, gotzmann) over the 2^free masks fixed | f << (C(n, 2) - free), the free
-    edges being the last of edge_pairs(n): fixed edges fold into one OR and AND, each mask
-    is one entry per half-table of the free edges; a failure raises StarTheoremMismatch."""
+    edges being the last of edge_pairs(n); a failure raises StarTheoremMismatch.
+
+    The fixed edges fold into one OR and AND.  The first min(free, 12) free edges are the low
+    edges, whose subsets L are the lanes of _lanes; the others stay a loop over subsets H.
+    With F the fixed edges and H, H(P/I, 3) >= M(|F| + |L|) exactly when
+    u = M(|F| + |L|) + #(multiples of L, not of F) <= base = C(n+2, 3) - #(multiples of F),
+    so one subtraction, (guard + base in each field) - u, keeps the guard bits of those lanes,
+    and no field borrows from the next.  The star lanes, whose edges all hold a vertex that
+    every edge of F holds, are OR'ed in.  These candidates, every Gotzmann or star mask, go
+    through the scalar checks lowest mask first; any other lane is a non-star below its bound."""
     edges, squarefree = _edge_tables(n)
     shift = len(edges) - free
     if not 0 <= shift <= len(edges) or fixed < 0 or fixed >> shift:
         raise ValueError("edge mask out of range")
-    fixed_multiples, fixed_common = 0, -1
-    for multiples, vertices in (edge for i, edge in enumerate(edges[:shift]) if fixed >> i & 1):
-        fixed_multiples, fixed_common = fixed_multiples | multiples, fixed_common & vertices
-    half = shift + free // 2
-    low = [(m, v, lo.bit_count(), lo) for lo, (m, v) in enumerate(_subset_table(edges[shift:half]))]
-    bounds = _bounds(n, macaulay_pseudopower, kruskal_katona_pseudopower)[fixed.bit_count():]
+    fixed_multiples, fixed_common, rest = 0, -1, fixed
+    while rest:
+        multiples, vertices = edges[(rest & -rest).bit_length() - 1]
+        fixed_multiples, fixed_common, rest = fixed_multiples | multiples, fixed_common & vertices, rest & rest - 1
+    half = shift + min(free, 12)
+    bounds = _bounds(n, macaulay_pseudopower, kruskal_katona_pseudopower)
+    w, ones, mac, planes, vertex_stars, low = _lanes(n, edges[shift:half], bounds)
+    guard = ones << w - 1
     ring3, stars, gotzmann = binomial(n + 2, 3), 0, 0
     for hi, (high_multiples, high_common) in enumerate(_subset_table(edges[half:])):
         high_multiples, high_common = high_multiples | fixed_multiples, high_common & fixed_common
-        row_bounds = bounds[hi.bit_count():]
-        for low_multiples, low_common, low_e, lo in low:
+        e0, base = fixed.bit_count() + hi.bit_count(), ring3 - high_multiples.bit_count()
+        u = mac[e0]
+        for group, plane in planes:
+            u += (group & ~high_multiples).bit_count() * plane
+        candidates = (guard | base * ones) - u & guard
+        for vertex, star_lanes in vertex_stars:
+            if high_common & vertex:
+                candidates |= star_lanes
+        while candidates:
+            lo = (candidates & -candidates).bit_length() // w - 1
+            candidates &= candidates - 1
+            low_multiples, low_common = low[lo]
             multiples, common = low_multiples | high_multiples, low_common & high_common
             h3 = ring3 - multiples.bit_count()
-            macaulay, kk = row_bounds[low_e]
-            # Only a star (e <= 1 included: the AND of none is -1) or h3 at the bound goes on.
-            if common or h3 >= macaulay:
-                mask = fixed | lo << shift | hi << half
-                if h3 > macaulay:
-                    raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
-                star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
-                stars, gotzmann = stars + star, gotzmann + gotz
-                f2 = binomial(n, 3) - (multiples & squarefree).bit_count()
-                if gotz != star or gotz and (e >= n or f2 != kk):
-                    g = Graph.from_edge_mask(n, mask)
-                    raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
-                                              f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
-                                              f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
+            macaulay, kk = bounds[e0 + lo.bit_count()]
+            mask = fixed | lo << shift | hi << half
+            if h3 > macaulay:
+                raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
+            star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
+            stars, gotzmann = stars + star, gotzmann + gotz
+            f2 = binomial(n, 3) - (multiples & squarefree).bit_count()
+            if gotz != star or gotz and (e >= n or f2 != kk):
+                g = Graph.from_edge_mask(n, mask)
+                raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
+                                          f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
+                                          f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
     return 1 << free, stars, gotzmann
 
 

@@ -2,7 +2,7 @@
 
 A complex is stored as its full face set of int vertex masks (bit v - 1 is
 vertex v, so colex order of k-subsets is numeric order), with at most
-MAX_COMPLEX_FACES faces: from_faces refuses faces with more subsets in all, and
+MAX_COMPLEX_FACES faces: from_faces refuses faces whose subsets pass it, and
 Stanley-Reisner complexes are refused while their faces are grown.
 """
 from __future__ import annotations
@@ -75,21 +75,26 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-        """Build the smallest complex containing the given faces: all their subsets; ValueError,
-        before any is built, if the faces have more than MAX_COMPLEX_FACES subsets in all."""
+        """Build the smallest complex containing the given faces: all their subsets.  Faces are
+        expanded largest first, skipping any already in the closure; ValueError before expanding
+        a face with more than MAX_COMPLEX_FACES subsets, and once the closure passes that cap."""
         if ground_size < 1:
             raise ValueError("ground set must be non-empty")
         masks = list(map(_mask, faces))
         if (top := max(masks, default=0)) >> ground_size:
             raise ValueError(f"face mask {top} outside vertices 1..{ground_size}")
-        if (subsets := sum(1 << face.bit_count() for face in masks)) > MAX_COMPLEX_FACES:
-            raise ValueError(f"faces with {subsets} subsets may give more than {MAX_COMPLEX_FACES} faces")
         closure = {0}
-        for face in masks:
+        for face in sorted(masks, key=int.bit_count, reverse=True):
+            if face in closure:
+                continue
+            if (subsets := 1 << face.bit_count()) > MAX_COMPLEX_FACES:
+                raise ValueError(f"a face with {subsets} subsets gives more than {MAX_COMPLEX_FACES} faces")
             sub = face
             while sub:  # every submask of the face, down to the empty face
                 closure.add(sub)
                 sub = (sub - 1) & face
+            if len(closure) > MAX_COMPLEX_FACES:
+                raise ValueError(f"faces whose subsets give more than {MAX_COMPLEX_FACES} faces")
         return cls._closed(ground_size, frozenset(closure))
 
     @property

@@ -2,7 +2,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotzmann import certifier
@@ -211,6 +211,31 @@ class TestVerifyStarTheorem:
         assert info.value.graph == Graph.from_edge_mask(4, 1)
         assert "is_gotzmann=False, is_star=True" in str(info.value)
 
+    def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
+        # As above, but on (3, 4), the last edge at n = 4 and a lane edge, once the lane
+        # tables of the true table are cached: the single edge 34 (mask 32) is reported.
+        verify_star_theorem(4)
+        cached = certifier._edge_tables
+        edges, squarefree = cached(4)
+        *rest, (multiples, vertices) = edges
+        wrong = multiples | 1 << degree_monomials(4, 3).index((3, 0, 0, 0))
+        monkeypatch.setattr(
+            certifier, "_edge_tables",
+            lambda n: ((*rest, (wrong, vertices)), squarefree) if n == 4 else cached(n),
+        )
+        with pytest.raises(StarTheoremMismatch) as info:
+            verify_star_theorem(4)
+        assert info.value.graph == Graph.from_edge_mask(4, 1 << 5)
+
+    def test_h3_above_the_macaulay_bound_is_an_arithmetic_error(self, monkeypatch):
+        # one less than every bound: each Gotzmann graph now exceeds it, the lowest mask first
+        true_bound = certifier.macaulay_pseudopower
+        monkeypatch.setattr(certifier, "macaulay_pseudopower", lambda a, d: true_bound(a, d) - 1)
+        with pytest.raises(ArithmeticError, match=r"H\(P/I,3\) = 1 > Macaulay bound 0 \(n=1, mask 0\)"):
+            verify_star_theorem(4)
+        with pytest.raises(ArithmeticError, match=r"= 26 > Macaulay bound 25 \(n=5, mask 12\)"):
+            _check_block(5, 0b1100, 6)
+
     def test_star_count_is_checked_per_vertex_count(self, monkeypatch):
         def one_star_too_many(n, fixed, free):
             checked, stars, gotz = _check_block(n, fixed, free)
@@ -273,6 +298,20 @@ class TestCheckBlock:
                 16, sum(r[1] for r in singles), sum(r[2] for r in singles)
             )
         assert _check_block(5, 0, 0) == (1, 1, 1)  # the edgeless graph
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, binomial(n, 2)).flatmap(lambda free: st.tuples(
+            st.integers(0, (1 << binomial(n, 2) - free) - 1), st.just(free))))))
+    @example((6, (0, 15)))  # 12 lane edges, 3 high edges
+    @example((6, (1, 14)))
+    @example((6, (0b10, 13)))
+    @example((5, (0b1011001, 0)))  # one lane
+    @settings(max_examples=25, deadline=None)
+    def test_a_block_equals_the_sum_of_its_single_masks(self, block):
+        n, (fixed, free) = block
+        shift = binomial(n, 2) - free
+        singles = [_check_block(n, fixed | f << shift, 0) for f in range(1 << free)]
+        assert _check_block(n, fixed, free) == tuple(map(sum, zip(*singles)))
 
     def test_blocks_sum_to_the_whole_run(self):
         # fixing the first three edges in all eight ways splits the labeled loop

@@ -121,6 +121,16 @@ class TestSimplicialComplex:
         assert MAX_COMPLEX_FACES == 1 << 16
         assert len(SimplicialComplex.from_faces(16, [range(1, 17)]).faces) == 1 << 16
 
+    def test_face_cap_counts_shared_subsets_once(self):
+        # the 4,096 faces of the 12-simplex: 3^12 subsets counted face by face, 2^12 in the closure
+        simplex = [[v for v in range(1, 13) if mask >> v - 1 & 1] for mask in range(1 << 12)]
+        assert len(SimplicialComplex.from_faces(12, simplex).faces) == 1 << 12
+
+    def test_face_cap_refuses_a_large_union(self):
+        # each facet alone is exactly the cap; together 2^17 - 1 faces
+        with pytest.raises(ValueError, match=f"more than {MAX_COMPLEX_FACES} faces"):
+            SimplicialComplex.from_faces(32, [range(1, 17), range(17, 33)])
+
     def test_face_cap_both_sides(self, monkeypatch):
         monkeypatch.setattr(complexes, "MAX_COMPLEX_FACES", 16)
         assert len(SimplicialComplex.from_faces(5, [range(1, 5)]).faces) == 16

@@ -126,8 +126,12 @@ class TestComplexFiles:
         assert time.perf_counter() - started < 0.5
 
     def test_face_bound_sums_over_facets(self):
-        # 17 facets of 12 vertices each: no facet alone passes the cap
-        facets = [range(v, v + 12) for v in range(1, 18)]
-        assert 1 << 12 <= MAX_COMPLEX_FACES < 17 << 12
+        # 6 disjoint facets of 14 vertices each: no facet alone passes the cap, their closure does
+        facets = [range(v, v + 14) for v in range(1, 85, 14)]
+        assert 1 << 14 <= MAX_COMPLEX_FACES < 6 * ((1 << 14) - 1)
         with pytest.raises(InputFormatError, match="faces"):
-            parse_complex("28\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets))
+            parse_complex("84\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets))
+        # 17 overlapping facets of 12 vertices: 17 * 2^12 subsets face by face, 36,864 faces
+        facets = [range(v, v + 12) for v in range(1, 18)]
+        complex_ = parse_complex("28\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets))
+        assert len(complex_.faces) == 36864
