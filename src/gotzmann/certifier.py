@@ -2,12 +2,9 @@
 
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
 checks one graph per orbit of relabelings fixing vertices 1 and 2, weighted by orbit size;
-cached bitsets of degree-3 multiples make H(I, 3) a popcount.  Up to 2^12 graphs, the
-subsets of the first free edges, are lanes of one int: each owns a field topped by a guard
-bit, so one subtraction compares every lane's H(P/I, 3) with its Macaulay bound (Lamport's
-guard-bit trick).  Only lanes at the bound or stars reach the scalar checks; since each
-Gotzmann graph is at its bound, no Gotzmann or star graph skips them.  Closed forms
-cross-check.
+cached bitsets of degree-3 multiples make H(I, 3) a popcount, and up to 2^12 graphs share
+one int, a guard-bit field each, so one subtraction tests them all against the Macaulay
+bound; only those at it, and stars, reach the scalar checks.  Closed forms cross-check.
 """
 from __future__ import annotations
 

@@ -94,7 +94,7 @@ class SimplicialComplex:
                 closure.add(sub)
                 sub = (sub - 1) & face
             if len(closure) > MAX_COMPLEX_FACES:
-                raise ValueError(f"faces whose subsets give more than {MAX_COMPLEX_FACES} faces")
+                raise ValueError(f"the closure of the faces has more than {MAX_COMPLEX_FACES} faces")
         return cls._closed(ground_size, frozenset(closure))
 
     @property
