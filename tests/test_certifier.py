@@ -288,6 +288,14 @@ class TestOrbitReduction:
         assert is_star(relabeled) == is_star(g)
 
 
+@st.composite
+def blocks(draw):
+    """(n, fixed, free) for a _check_block call with n <= 6."""
+    n = draw(st.integers(1, 6))
+    free = draw(st.integers(0, binomial(n, 2)))
+    return n, draw(st.integers(0, (1 << binomial(n, 2) - free) - 1)), free
+
+
 class TestCheckBlock:
     def test_any_block_equals_its_single_masks(self):
         # n = 5: ten edges, the last four free
@@ -299,16 +307,14 @@ class TestCheckBlock:
             )
         assert _check_block(5, 0, 0) == (1, 1, 1)  # the edgeless graph
 
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, binomial(n, 2)).flatmap(lambda free: st.tuples(
-            st.integers(0, (1 << binomial(n, 2) - free) - 1), st.just(free))))))
-    @example((6, (0, 15)))  # 12 lane edges, 3 high edges
-    @example((6, (1, 14)))
-    @example((6, (0b10, 13)))
-    @example((5, (0b1011001, 0)))  # one lane
+    @given(blocks())
+    @example((6, 0, 15))  # 12 lane edges, 3 high edges
+    @example((6, 1, 14))
+    @example((6, 0b10, 13))
+    @example((5, 0b1011001, 0))  # one lane
     @settings(max_examples=25, deadline=None)
     def test_a_block_equals_the_sum_of_its_single_masks(self, block):
-        n, (fixed, free) = block
+        n, fixed, free = block
         shift = binomial(n, 2) - free
         singles = [_check_block(n, fixed | f << shift, 0) for f in range(1 << free)]
         assert _check_block(n, fixed, free) == tuple(map(sum, zip(*singles)))
