@@ -9,6 +9,7 @@ from .certifier import (
     GotzmannReport,
     StarTheoremMismatch,
     StarTheoremSummary,
+    VertexCountRecord,
     certify,
     check_edge_bound,
     gotzmann_value_deg2,
@@ -54,6 +55,7 @@ __all__ = [
     "GotzmannReport",
     "StarTheoremMismatch",
     "StarTheoremSummary",
+    "VertexCountRecord",
     "certify",
     "check_edge_bound",
     "gotzmann_value_deg2",

@@ -1,18 +1,21 @@
 """The Gotzmann certifier and the exhaustive star-graph theorem verifier.
 
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
-checks one graph per orbit of relabelings fixing vertices 1 and 2, weighted by orbit size;
-cached bitsets of degree-3 multiples make H(I, 3) a popcount, and up to 2^12 graphs share
-one int, a guard-bit field each, so one subtraction tests them all against the Macaulay
-bound; only those at it, and stars, reach the scalar checks.  Closed forms cross-check.
+makes one kernel call per vertex count n, over one block of graphs per class of a
+stabilizer chain fixing vertices 1..depth (depth max(2, n - 6), so at most 15 free edges),
+weighted by class size; cached bitsets of degree-3 multiples make H(I, 3) a popcount, and
+up to 2^12 graphs share one int, a guard-bit field each, so one subtraction tests them all
+against the Macaulay bound; only those at it, and stars, reach the scalar checks.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate, product
+from math import prod
 from operator import or_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
@@ -106,11 +109,23 @@ class StarTheoremMismatch(AssertionError):
         self.graph = graph
 
 
+class VertexCountRecord(NamedTuple):
+    """Labeled counts on n vertices, the blocks checked and the seconds of their kernel call."""
+
+    n: int
+    graphs: int
+    stars: int
+    gotzmann: int
+    representatives: int
+    seconds: float
+
+
 @dataclass(frozen=True)
 class StarTheoremSummary:
     """Aggregated result of the exhaustive labeled-graph verification.  ``mismatches``
     is always 0, since every failure raises StarTheoremMismatch instead of being
-    counted; it stays because ``--machine`` output and bench/ read it."""
+    counted; it stays because ``--machine`` output and bench/ read it.  ``per_n`` holds
+    one VertexCountRecord per vertex count."""
 
     max_vertices: int
     graphs_checked: int
@@ -118,6 +133,7 @@ class StarTheoremSummary:
     gotzmann_found: int
     mismatches: int
     wall_time_seconds: float
+    per_n: tuple[VertexCountRecord, ...] = ()
 
 
 @lru_cache(maxsize=None)
@@ -152,19 +168,27 @@ def _bounds(n: int, macaulay: Callable, kk: Callable) -> tuple[tuple[int, int], 
 
 
 @lru_cache(maxsize=None)
-def _representatives(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(free, ((fixed, weight), ...)): one edge mask per orbit of the relabelings fixing
-    vertex 1, then vertex 2, with the orbit size.  N(1) becomes {2..k+1}, in C(n-1, k) ways;
-    with j = max(k, 1), N(2) within 3..n becomes {3..a+2} u {j+2..j+b+1}, in C(j-1, a)
-    C(n-1-j, b) ways.  The C(n-2, 2) edges among 3..n, last in edge_pairs(n), stay free."""
-    if n == 1:
-        return 0, ((0, 1),)
+def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(free, ((fixed, weight), ...)): one edge mask per class of a stabilizer chain fixing
+    vertices 1..depth in turn, with the class size.  The vertices after the fixed ones form
+    blocks of consecutive vertices; the lowest unfixed vertex v leaves its block, and a
+    relabeling within the blocks moves N(v) among the later vertices to a prefix of each block,
+    in the product of C(|block|, a) ways, and splits each block there.  The C(n - depth, 2)
+    edges among depth+1..n, last in edge_pairs(n), stay free."""
     bit = {p: 1 << i for i, p in enumerate(edge_pairs(n))}
-    return binomial(n - 2, 2), tuple(
-        (sum(bit[1, v] for v in range(2, k + 2))
-         | sum(bit[2, v] for v in (*range(3, a + 3), *range(j + 2, j + b + 2))),
-         binomial(n - 1, k) * binomial(j - 1, a) * binomial(n - 1 - j, b))
-        for k in range(n) for j in [max(k, 1)] for a in range(j) for b in range(n - j))
+    level = [(0, 1, (n,))]  # (fixed, weight, sizes of the blocks of vertices v..n, in order)
+    for v in range(1, min(depth, n) + 1):
+        chained = []
+        for fixed, weight, (first, *sizes) in level:
+            sizes = (first - 1, *sizes)  # v leaves the first block
+            starts = tuple(accumulate(sizes, initial=v + 1))
+            for prefixes in product(*(range(size + 1) for size in sizes)):
+                chained.append((
+                    fixed | sum(bit[v, u] for start, a in zip(starts, prefixes) for u in range(start, start + a)),
+                    weight * prod(map(binomial, sizes, prefixes)),
+                    tuple(part for size, a in zip(sizes, prefixes) for part in (a, size - a) if part)))
+        level = chained
+    return binomial(max(n - depth, 0), 2), tuple((fixed, weight) for fixed, weight, _ in level)
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +215,10 @@ def _lanes(n: int, low: tuple[tuple[int, int], ...], bounds: tuple[tuple[int, in
     return w, ones, tuple(mac), tuple(planes), stars, _subset_table(low)
 
 
-def _check_block(n: int, fixed: int, free: int) -> tuple[int, int, int]:
-    """(checked, stars, gotzmann) over the 2^free masks fixed | f << (C(n, 2) - free), the free
-    edges being the last of edge_pairs(n); a failure raises StarTheoremMismatch.
+def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
+    """(checked, stars, gotzmann), weighted, over the blocks ((fixed, weight), ...), a block
+    being the 2^free masks fixed | f << (C(n, 2) - free), the free edges being the last of
+    edge_pairs(n); a failure raises StarTheoremMismatch.  The tables are looked up once per call.
 
     The fixed edges fold into one OR and AND.  The first min(free, 12) free edges are the low
     edges, whose subsets L are the lanes of _lanes; the others stay a loop over subsets H.
@@ -205,46 +230,51 @@ def _check_block(n: int, fixed: int, free: int) -> tuple[int, int, int]:
     through the scalar checks lowest mask first; any other lane is a non-star below its bound."""
     edges, squarefree = _edge_tables(n)
     shift = len(edges) - free
-    if not 0 <= shift <= len(edges) or fixed < 0 or fixed >> shift:
+    if not 0 <= shift <= len(edges):
         raise ValueError("edge mask out of range")
-    fixed_multiples, fixed_common, rest = 0, -1, fixed
-    while rest:
-        multiples, vertices = edges[(rest & -rest).bit_length() - 1]
-        fixed_multiples, fixed_common, rest = fixed_multiples | multiples, fixed_common & vertices, rest & rest - 1
     half = shift + min(free, 12)
     bounds = _bounds(n, macaulay_pseudopower, kruskal_katona_pseudopower)
     w, ones, mac, planes, vertex_stars, low = _lanes(n, edges[shift:half], bounds)
+    high = _subset_table(edges[half:])
     guard = ones << w - 1
-    ring3, stars, gotzmann = binomial(n + 2, 3), 0, 0
-    for hi, (high_multiples, high_common) in enumerate(_subset_table(edges[half:])):
-        high_multiples, high_common = high_multiples | fixed_multiples, high_common & fixed_common
-        e0, base = fixed.bit_count() + hi.bit_count(), ring3 - high_multiples.bit_count()
-        u = mac[e0]
-        for group, plane in planes:
-            u += (group & ~high_multiples).bit_count() * plane
-        candidates = (guard | base * ones) - u & guard
-        for vertex, star_lanes in vertex_stars:
-            if high_common & vertex:
-                candidates |= star_lanes
-        while candidates:
-            lo = (candidates & -candidates).bit_length() // w - 1
-            candidates &= candidates - 1
-            low_multiples, low_common = low[lo]
-            multiples, common = low_multiples | high_multiples, low_common & high_common
-            h3 = ring3 - multiples.bit_count()
-            macaulay, kk = bounds[e0 + lo.bit_count()]
-            mask = fixed | lo << shift | hi << half
-            if h3 > macaulay:
-                raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
-            star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
-            stars, gotzmann = stars + star, gotzmann + gotz
-            f2 = binomial(n, 3) - (multiples & squarefree).bit_count()
-            if gotz != star or gotz and (e >= n or f2 != kk):
-                g = Graph.from_edge_mask(n, mask)
-                raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
-                                          f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
-                                          f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
-    return 1 << free, stars, gotzmann
+    ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
+    for fixed, weight in blocks:
+        if fixed < 0 or fixed >> shift:
+            raise ValueError("edge mask out of range")
+        fixed_multiples, fixed_common, rest = 0, -1, fixed
+        while rest:
+            multiples, vertices = edges[(rest & -rest).bit_length() - 1]
+            fixed_multiples, fixed_common, rest = fixed_multiples | multiples, fixed_common & vertices, rest & rest - 1
+        checked += weight << free
+        for hi, (high_multiples, high_common) in enumerate(high):
+            high_multiples, high_common = high_multiples | fixed_multiples, high_common & fixed_common
+            e0, base = fixed.bit_count() + hi.bit_count(), ring3 - high_multiples.bit_count()
+            u = mac[e0]
+            for group, plane in planes:
+                u += (group & ~high_multiples).bit_count() * plane
+            candidates = (guard | base * ones) - u & guard
+            for vertex, star_lanes in vertex_stars:
+                if high_common & vertex:
+                    candidates |= star_lanes
+            while candidates:
+                lo = (candidates & -candidates).bit_length() // w - 1
+                candidates &= candidates - 1
+                low_multiples, low_common = low[lo]
+                multiples, common = low_multiples | high_multiples, low_common & high_common
+                h3 = ring3 - multiples.bit_count()
+                macaulay, kk = bounds[e0 + lo.bit_count()]
+                mask = fixed | lo << shift | hi << half
+                if h3 > macaulay:
+                    raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
+                star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
+                stars, gotzmann = stars + star * weight, gotzmann + gotz * weight
+                f2 = triangles - (multiples & squarefree).bit_count()
+                if gotz != star or gotz and (e >= n or f2 != kk):
+                    g = Graph.from_edge_mask(n, mask)
+                    raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
+                                              f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
+                                              f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
+    return checked, stars, gotzmann
 
 
 def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSummary:
@@ -252,24 +282,27 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     vertices, that the edge ideal is Gotzmann exactly for star graphs.
 
     Relabeling vertices changes neither the Hilbert function nor star-ness, so each n
-    checks the blocks of _representatives(n), weighted by orbit size: every count is
-    labeled.  A Gotzmann instance also needs e < n and f_d = f_{d-1}^(d) (Kruskal-Katona),
-    or StarTheoremMismatch carries the graph.  Weights not summing to 2^C(n, 2), or other
-    than 1 + C(n, 2) + n(2^(n-1) - n) stars on n vertices, raise ArithmeticError.
-    max_vertices outside 1..9, and workers != 1 (kept for callers passing 1), raise ValueError.
+    makes one _check_blocks call over _representatives(n, depth), weighted by class size:
+    every count is labeled.  The depth is the smallest >= 2 leaving at most 15 free edges,
+    12 lane edges and 3 high ones.  A Gotzmann instance also needs e < n and
+    f_d = f_{d-1}^(d) (Kruskal-Katona), or StarTheoremMismatch carries the graph.  Weights
+    not summing to 2^C(n, 2), or other than 1 + C(n, 2) + n(2^(n-1) - n) stars on n
+    vertices, raise ArithmeticError.  max_vertices outside 1..10, and workers != 1 (kept
+    for callers passing 1), raise ValueError.
     """
-    if not 1 <= max_vertices <= 9 or workers != 1:
-        raise ValueError(f"max_vertices must be in 1..9 and workers 1, not {max_vertices} and {workers}")
+    if not 1 <= max_vertices <= 10 or workers != 1:
+        raise ValueError(f"max_vertices must be in 1..10 and workers 1, not {max_vertices} and {workers}")
     start_time = time.perf_counter()
-    totals = [0, 0, 0]  # labeled graphs, stars, Gotzmann
+    per_n = []
     for n in range(1, max_vertices + 1):
-        free, representatives = _representatives(n)
-        counts = [0, 0, 0]
-        for fixed, weight in representatives:
-            counts = [c + weight * b for c, b in zip(counts, _check_block(n, fixed, free))]
-        if counts[0] != 1 << binomial(n, 2):
-            raise ArithmeticError(f"orbit weights cover {counts[0]} graphs on {n} vertices, not 2^C(n, 2)")
-        if counts[1] != 1 + binomial(n, 2) + n * (2 ** (n - 1) - n):
-            raise ArithmeticError(f"{counts[1]} labeled stars found on {n} vertices")
-        totals = [t + c for t, c in zip(totals, counts)]
-    return StarTheoremSummary(max_vertices, *totals, 0, time.perf_counter() - start_time)
+        free, representatives = _representatives(n, max(2, n - 6))  # C(n - depth, 2) <= C(6, 2)
+        started = time.perf_counter()
+        graphs, stars, gotzmann = _check_blocks(n, free, representatives)
+        seconds = time.perf_counter() - started
+        if graphs != 1 << binomial(n, 2):
+            raise ArithmeticError(f"orbit weights cover {graphs} graphs on {n} vertices, not 2^C(n, 2)")
+        if stars != 1 + binomial(n, 2) + n * (2 ** (n - 1) - n):
+            raise ArithmeticError(f"{stars} labeled stars found on {n} vertices")
+        per_n.append(VertexCountRecord(n, graphs, stars, gotzmann, len(representatives), seconds))
+    return StarTheoremSummary(max_vertices, sum(r.graphs for r in per_n), sum(r.stars for r in per_n),
+                              sum(r.gotzmann for r in per_n), 0, time.perf_counter() - start_time, tuple(per_n))

@@ -129,6 +129,10 @@ def _cmd_verify(args) -> int:
         _row("Gotzmann edge ideals:", summary.gotzmann_found)
         _row("mismatches:", summary.mismatches)
         _row("wall time:", f"{summary.wall_time_seconds:.2f} s")
+        row = "{:>3} {:>15} {:>6} {:>9} {:>15} {:>9}"
+        print(row.format("n", "graphs", "stars", "Gotzmann", "representatives", "seconds"))
+        for n, graphs, stars, gotzmann, representatives, seconds in summary.per_n:
+            print(row.format(n, graphs, stars, gotzmann, representatives, f"{seconds:.4f}"))
     return 0
 
 

@@ -1,4 +1,5 @@
 """Tests for the Gotzmann certifier, closed forms and the theorem verifier."""
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from gotzmann import certifier
 from gotzmann.certifier import (
     GotzmannReport,
     StarTheoremMismatch,
-    _check_block,
+    _check_blocks,
     _edge_tables,
     _representatives,
     _subset_table,
@@ -18,13 +19,14 @@ from gotzmann.certifier import (
     gotzmann_value_deg2,
     verify_star_theorem,
 )
-from gotzmann.combinatorics import binomial, kruskal_katona_pseudopower
+from gotzmann.combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from gotzmann.graphs import Graph, edge_ideal, edge_pairs, is_star
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
     degree_monomials,
     hilbert_ideal,
+    hilbert_quotient,
     lex_segment_ideal,
 )
 from oracles import stanley_reisner_faces
@@ -92,6 +94,62 @@ class TestCertify:
         # square_free_check
         with pytest.raises(TypeError):
             GotzmannReport(2, 10, 11, 11, False)
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """A lex segment or a random ideal generated in degree d <= 3 on n <= 5 variables."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pool = degree_monomials(n, d)
+    if draw(st.booleans()):
+        return lex_segment_ideal(n, d, draw(st.integers(0, len(pool))))
+    generators = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+    return MonomialIdeal.from_generators(n, [Monomial(g) for g in generators], degree=d)
+
+
+class TestGotzmannPersistence:
+    """Gotzmann's persistence theorem (1978; Bruns-Herzog, Thm 4.3.3): if I is generated in
+    degree <= d and H(P/I, d+1) = H(P/I, d)^<d>, then H(P/I, d+2) = H(P/I, d+1)^<d+1>.
+    Macaulay's theorem bounds H(P/I, d+2) by the same pseudo-power for any ideal."""
+
+    @staticmethod
+    def next_degree(ideal):
+        """(H(P/I, d+2), H(P/I, d+1)^<d+1>) for an ideal generated in degree d."""
+        d = ideal.generation_degree
+        return (hilbert_quotient(ideal, d + 2),
+                macaulay_pseudopower(hilbert_quotient(ideal, d + 1), d + 1))
+
+    @given(equigenerated_ideals())
+    @example(lex_segment_ideal(5, 3, 17))
+    @example(MonomialIdeal.from_generators(4, [Monomial((1, 1, 0, 0)), Monomial((1, 0, 1, 0))], degree=2))
+    @settings(max_examples=120, deadline=None)
+    def test_every_gotzmann_verdict_persists(self, ideal):
+        h_next, bound = self.next_degree(ideal)
+        assert h_next <= bound
+        if certify(ideal).is_gotzmann:
+            assert h_next == bound
+
+    def test_lex_segments_persist(self):
+        # every lex segment is Gotzmann, so each one persists
+        for n in range(1, 6):
+            for d in range(1, 4):
+                for count in range(len(degree_monomials(n, d)) + 1):
+                    ideal = lex_segment_ideal(n, d, count)
+                    assert certify(ideal).is_gotzmann
+                    h_next, bound = self.next_degree(ideal)
+                    assert h_next == bound
+
+    def test_star_edge_ideals_persist(self):
+        persisted = 0
+        for n in range(1, 7):
+            for mask in range(1 << binomial(n, 2)):
+                g = Graph.from_edge_mask(n, mask)
+                if is_star(g):
+                    ideal = edge_ideal(g)
+                    assert certify(ideal).is_gotzmann
+                    h_next, bound = self.next_degree(ideal)
+                    persisted += h_next == bound
+        assert persisted == 271  # the labeled stars on 1..6 vertices
 
 
 class TestDegreeTwoClosedForm:
@@ -184,11 +242,26 @@ class TestVerifyStarTheorem:
         assert summary.gotzmann_found == summary.stars_found
         assert summary.mismatches == 0
 
+    def test_per_vertex_count_record(self):
+        summary = verify_star_theorem(7)
+        stars = [1 + binomial(n, 2) + n * (2 ** (n - 1) - n) for n in range(1, 8)]
+        assert [record[:5] for record in summary.per_n] == [
+            (n, 1 << binomial(n, 2), s, s, blocks)
+            for n, s, blocks in zip(range(1, 8), stars, (1, 2, 6, 13, 24, 40, 62))
+        ]
+        assert all(0 <= record.seconds <= summary.wall_time_seconds for record in summary.per_n)
+        assert (summary.graphs_checked, summary.stars_found) == (
+            sum(r.graphs for r in summary.per_n), sum(r.stars for r in summary.per_n))
+        # bench/ and --machine read the older fields; per_n only trails them
+        assert [f.name for f in fields(summary)] == [
+            "max_vertices", "graphs_checked", "stars_found", "gotzmann_found", "mismatches",
+            "wall_time_seconds", "per_n"]
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_star_theorem(0)
         with pytest.raises(ValueError):
-            verify_star_theorem(10)
+            verify_star_theorem(11)
         with pytest.raises(ValueError):
             verify_star_theorem(3, workers=0)
         with pytest.raises(ValueError):
@@ -234,42 +307,70 @@ class TestVerifyStarTheorem:
         with pytest.raises(ArithmeticError, match=r"H\(P/I,3\) = 1 > Macaulay bound 0 \(n=1, mask 0\)"):
             verify_star_theorem(4)
         with pytest.raises(ArithmeticError, match=r"= 26 > Macaulay bound 25 \(n=5, mask 12\)"):
-            _check_block(5, 0b1100, 6)
+            _check_blocks(5, 6, ((0b1100, 1),))
 
     def test_star_count_is_checked_per_vertex_count(self, monkeypatch):
-        def one_star_too_many(n, fixed, free):
-            checked, stars, gotz = _check_block(n, fixed, free)
+        def one_star_too_many(n, free, blocks):
+            checked, stars, gotz = _check_blocks(n, free, blocks)
             return checked, stars + (n == 3), gotz + (n == 3)
 
-        monkeypatch.setattr(certifier, "_check_block", one_star_too_many)
+        monkeypatch.setattr(certifier, "_check_blocks", one_star_too_many)
         with pytest.raises(ArithmeticError, match="on 3 vertices"):
             verify_star_theorem(4)
 
 
+# every depth, one past n too, up to n = 7 (at most 25,510 representatives); then depth <= 4
+# at n = 8 and depth <= 3 at n = 9 and 10 (depth 4 at n = 10 has its own test)
+CHAIN_DEPTHS = [(n, depth) for n in range(1, 11) for depth in range(n + 2)
+                if depth <= (n + 1 if n <= 7 else 4 if n == 8 else 3)]
+
+
 class TestOrbitReduction:
     def test_representative_counts_and_orbit_sum_identity(self):
-        counts = {}
-        for n in range(1, 10):
-            free, representatives = _representatives(n)
-            assert free == binomial(max(n - 2, 0), 2)
+        for n, depth in CHAIN_DEPTHS:
+            free, representatives = _representatives(n, depth)
+            assert free == binomial(max(n - depth, 0), 2)  # the edges among depth+1..n
             assert sum(weight << free for _, weight in representatives) == 1 << binomial(n, 2)
-            counts[n] = len(representatives)
+            assert all(0 <= fixed < 1 << binomial(n, 2) - free for fixed, _ in representatives)
+        counts = {n: len(_representatives(n, 2)[1]) for n in range(1, 10)}
         assert (counts[1], counts[2]) == (1, 2)  # every mask is its own representative
         assert [counts[n] for n in (6, 7, 8, 9)] == [40, 62, 91, 128]
+        assert len(_representatives(9, 3)[1]) == 2360
+        assert len(_representatives(10, 3)[1]) == 4480
+
+    def test_depth_four_at_ten_vertices(self):
+        free, representatives = _representatives(10, 4)
+        assert (free, len(representatives)) == (15, 125416)
+        assert sum(weight << free for _, weight in representatives) == 1 << 45
+
+    def test_depth_zero_and_one(self):
+        # depth 0 is the labeled loop; depth 1 moves N(1) to {2..k+1}, in C(n-1, k) ways
+        assert _representatives(5, 0) == (10, ((0, 1),))
+        assert _representatives(5, 1) == (6, tuple(((1 << k) - 1, binomial(4, k)) for k in range(5)))
+
+    def test_depth_two_keeps_the_closed_form_order(self):
+        # N(1) = {2..k+1}; N(2) within 3..n = {3..a+2} u {j+2..j+b+1}, j = max(k, 1), in
+        # C(j-1, a) C(n-1-j, b) ways, ascending in (k, a, b): the order patched-table tests rely on
+        for n in range(2, 10):
+            bit = {p: 1 << i for i, p in enumerate(edge_pairs(n))}
+            closed_form = tuple(
+                (sum(bit[1, v] for v in range(2, k + 2))
+                 | sum(bit[2, v] for v in (*range(3, a + 3), *range(j + 2, j + b + 2))),
+                 binomial(n - 1, k) * binomial(j - 1, a) * binomial(n - 1 - j, b))
+                for k in range(n) for j in [max(k, 1)] for a in range(j) for b in range(n - j))
+            assert _representatives(n, 2) == (binomial(n - 2, 2), closed_form)
 
     def test_weighted_counts_equal_the_labeled_loop(self):
-        for n in range(1, 8):
-            free, representatives = _representatives(n)
-            weighted = [0, 0, 0]
-            for fixed, weight in representatives:
-                weighted = [w + weight * c for w, c in zip(weighted, _check_block(n, fixed, free))]
-            assert tuple(weighted) == _check_block(n, 0, binomial(n, 2))
+        # every depth up to n = 6, and the verifier's depth 2 at n = 7
+        for n, depth in [*((n, depth) for n in range(1, 7) for depth in range(n + 1)), (7, 2)]:
+            free, representatives = _representatives(n, depth)
+            assert _check_blocks(n, free, representatives) == _check_blocks(n, binomial(n, 2), ((0, 1),))
 
     def test_wrong_weight_breaks_the_orbit_sum(self, monkeypatch):
         cached = certifier._representatives
 
-        def one_weight_too_many(n):
-            free, ((fixed, weight), *rest) = cached(n)
+        def one_weight_too_many(n, depth):
+            free, ((fixed, weight), *rest) = cached(n, depth)
             return free, ((fixed, weight + (n == 4)), *rest)
 
         monkeypatch.setattr(certifier, "_representatives", one_weight_too_many)
@@ -288,24 +389,52 @@ class TestOrbitReduction:
         assert is_star(relabeled) == is_star(g)
 
 
+def check_one(n, fixed, free):
+    """_check_blocks over the one block fixed, with weight 1."""
+    return _check_blocks(n, free, ((fixed, 1),))
+
+
 @st.composite
 def blocks(draw):
-    """(n, fixed, free) for a _check_block call with n <= 6."""
+    """(n, fixed, free) for a one-block _check_blocks call with n <= 6."""
     n = draw(st.integers(1, 6))
     free = draw(st.integers(0, binomial(n, 2)))
     return n, draw(st.integers(0, (1 << binomial(n, 2) - free) - 1)), free
+
+
+@st.composite
+def weighted_blocks(draw):
+    """(n, free, ((fixed, weight), ...)) for a _check_blocks call with n <= 6, maybe no blocks."""
+    n = draw(st.integers(1, 6))
+    free = draw(st.integers(0, min(binomial(n, 2), 8)))
+    fixed = st.integers(0, (1 << binomial(n, 2) - free) - 1)
+    return n, free, tuple(draw(st.lists(st.tuples(fixed, st.integers(0, 10**6)), max_size=5)))
 
 
 class TestCheckBlock:
     def test_any_block_equals_its_single_masks(self):
         # n = 5: ten edges, the last four free
         for fixed in (0, 1, 0b100101, 0b111111):
-            singles = [_check_block(5, fixed | f << 6, 0) for f in range(16)]
+            singles = [check_one(5, fixed | f << 6, 0) for f in range(16)]
             assert all(r[0] == 1 for r in singles)
-            assert _check_block(5, fixed, 4) == (
+            assert check_one(5, fixed, 4) == (
                 16, sum(r[1] for r in singles), sum(r[2] for r in singles)
             )
-        assert _check_block(5, 0, 0) == (1, 1, 1)  # the edgeless graph
+        assert check_one(5, 0, 0) == (1, 1, 1)  # the edgeless graph
+
+    @given(weighted_blocks())
+    @example((4, 3, ()))
+    @example((6, 6, ((0, 40), (0b101, 3), (0, 1))))  # a block may repeat
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_sum_their_weighted_single_block_results(self, call):
+        n, free, weighted = call
+        expected = [0, 0, 0]
+        for fixed, weight in weighted:
+            expected = [e + weight * c for e, c in zip(expected, check_one(n, fixed, free))]
+        assert _check_blocks(n, free, weighted) == tuple(expected)
+
+    def test_no_blocks_count_nothing(self):
+        assert _check_blocks(6, 6, ()) == _check_blocks(1, 0, []) == (0, 0, 0)
 
     @given(blocks())
     @example((6, 0, 15))  # 12 lane edges, 3 high edges
@@ -316,14 +445,14 @@ class TestCheckBlock:
     def test_a_block_equals_the_sum_of_its_single_masks(self, block):
         n, fixed, free = block
         shift = binomial(n, 2) - free
-        singles = [_check_block(n, fixed | f << shift, 0) for f in range(1 << free)]
-        assert _check_block(n, fixed, free) == tuple(map(sum, zip(*singles)))
+        singles = [check_one(n, fixed | f << shift, 0) for f in range(1 << free)]
+        assert check_one(n, fixed, free) == tuple(map(sum, zip(*singles)))
 
     def test_blocks_sum_to_the_whole_run(self):
         # fixing the first three edges in all eight ways splits the labeled loop
         total = binomial(6, 2)
-        parts = [_check_block(6, fixed, total - 3) for fixed in range(8)]
-        whole = _check_block(6, 0, total)
+        parts = [check_one(6, fixed, total - 3) for fixed in range(8)]
+        whole = check_one(6, 0, total)
         # 1 + C(6, 2) + 6(2^5 - 6) = 172 labeled stars, each Gotzmann
         assert whole == (1 << total, 172, 172)
         assert tuple(sum(r[i] for r in parts) for i in range(3)) == whole
@@ -331,7 +460,9 @@ class TestCheckBlock:
     def test_out_of_range_masks(self):
         for fixed, free in ((0, 4), (0, -1), (1 << 3, 0), (1 << 2, 1), (-1, 0)):
             with pytest.raises(ValueError):
-                _check_block(3, fixed, free)
+                check_one(3, fixed, free)
+        with pytest.raises(ValueError):  # a bad block after good ones
+            _check_blocks(3, 1, ((0, 1), (1 << 2, 1)))
 
 
 class TestSubsetTable:

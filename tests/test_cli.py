@@ -5,6 +5,7 @@ import time
 import pytest
 
 from gotzmann.cli import _build_parser, main
+from gotzmann.combinatorics import binomial
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
@@ -264,14 +265,28 @@ class TestVerify:
         )
 
     def test_refuses_hours_long_vertex_count(self, capsys):
-        code, _, err = run(capsys, "verify-star-theorem", "--max-vertices", "10")
-        assert code == 2
-        assert "max_vertices" in err
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify-star-theorem", "--max-vertices", "11")
+        assert time.perf_counter() - started < 1.0  # refused before any work
+        assert (code, out) == (2, "")
+        assert "max_vertices must be in 1..10" in err
 
     def test_human_mentions_wall_time(self, capsys):
         code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "2")
         assert code == 0
         assert "wall time" in out
+
+    def test_human_prints_one_row_per_vertex_count(self, capsys):
+        code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "6")
+        assert code == 0
+        header, *rows = out.splitlines()[6:]
+        assert header.split() == ["n", "graphs", "stars", "Gotzmann", "representatives", "seconds"]
+        # n, labeled graphs, stars, Gotzmann, blocks checked; the seconds vary
+        assert [row.split()[:5] for row in rows] == [
+            [str(n), str(1 << binomial(n, 2)), *[str(1 + binomial(n, 2) + n * (2 ** (n - 1) - n))] * 2,
+             str(blocks)]
+            for n, blocks in zip(range(1, 7), (1, 2, 6, 13, 24, 40))
+        ]
 
 
 MACHINE_ARGS = {
