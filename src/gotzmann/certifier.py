@@ -175,16 +175,16 @@ def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ..
     relabeling within the blocks moves N(v) among the later vertices to a prefix of each block,
     in the product of C(|block|, a) ways, and splits each block there.  The C(n - depth, 2)
     edges among depth+1..n, last in edge_pairs(n), stay free."""
-    bit = {p: 1 << i for i, p in enumerate(edge_pairs(n))}
     level = [(0, 1, (n,))]  # (fixed, weight, sizes of the blocks of vertices v..n, in order)
     for v in range(1, min(depth, n) + 1):
+        offset = binomial(n, 2) - binomial(n - v + 1, 2) - v - 1  # edge (v, u) is bit offset + u
         chained = []
         for fixed, weight, (first, *sizes) in level:
             sizes = (first - 1, *sizes)  # v leaves the first block
             starts = tuple(accumulate(sizes, initial=v + 1))
             for prefixes in product(*(range(size + 1) for size in sizes)):
                 chained.append((
-                    fixed | sum(bit[v, u] for start, a in zip(starts, prefixes) for u in range(start, start + a)),
+                    fixed | sum((1 << a) - 1 << offset + start for start, a in zip(starts, prefixes)),
                     weight * prod(map(binomial, sizes, prefixes)),
                     tuple(part for size, a in zip(sizes, prefixes) for part in (a, size - a) if part)))
         level = chained
