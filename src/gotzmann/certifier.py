@@ -3,7 +3,8 @@
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
 makes one kernel call per vertex count n, over one block of graphs per class of a
 stabilizer chain fixing vertices 1..depth (depth max(2, n - 6), so at most 15 free edges),
-weighted by class size; cached bitsets of degree-3 multiples make H(I, 3) a popcount, and
+weighted by class size.  Cached bitsets of degree-3 multiples make H(I, 3) a popcount, and
+one cached builder per n makes the bounds and the lane and subset tables of the free edges;
 up to 2^12 graphs share one int, a guard-bit field each, so one subtraction tests them all
 against the Macaulay bound; only those at it, and stars, reach the scalar checks.
 """
@@ -40,9 +41,7 @@ class GotzmannReport:
 
     def __post_init__(self) -> None:
         if self.h_quotient_d1 > self.macaulay_bound:
-            raise AssertionError(
-                "Macaulay bound violated: arithmetic bug in the enumeration"
-            )
+            raise ArithmeticError("Macaulay bound violated: arithmetic bug in the enumeration")
 
     @property
     def is_gotzmann(self) -> bool:
@@ -148,23 +147,13 @@ def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     return edges, sum(bit for m, bit in bits.items() if not m & high)
 
 
-@lru_cache(maxsize=None)
 def _subset_table(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Per subset of the (multiples, vertex mask) edges, indexed by its mask
-    over them: the OR of their multiples and the AND of their vertex masks.
-    Keyed by the edges themselves, so it follows whatever _edge_tables holds."""
+    over them: the OR of their multiples and the AND of their vertex masks."""
     table = [(0, -1)]
     for multiples, vertices in edges:
         table += [(m | multiples, v & vertices) for m, v in table]
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _bounds(n: int, macaulay: Callable, kk: Callable) -> tuple[tuple[int, int], ...]:
-    """Per edge count e on n vertices, the Macaulay bound on H(P/I, 3) and the
-    Kruskal-Katona bound on f_2; keyed by the pseudo-powers too, so a patched one counts."""
-    return tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
-                 for e in range(binomial(n, 2) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -192,14 +181,19 @@ def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ..
 
 
 @lru_cache(maxsize=None)
-def _lanes(n: int, low: tuple[tuple[int, int], ...], bounds: tuple[tuple[int, int], ...]) -> tuple:
-    """Packed tables for the low edges: lane L, one per subset of them, owns the w-bit field at
-    bit L*w of an int, whose top bit is its guard.  Returns w; ``ones``, a 1 in each field;
-    per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing some degree-3
-    monomials, (those monomials as a bitset, a 1 in each lane holding one of the edges); per
-    vertex v, (1 << v, the guard bits of the lanes whose edges all hold v); _subset_table(low).
-    Keyed by the edges and bounds themselves, so they follow _edge_tables and the pseudo-powers."""
-    ring3 = binomial(n + 2, 3)
+def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: Callable) -> tuple:
+    """The tables of _check_blocks for the free edges of edge_pairs(n), keyed by their
+    (multiples, vertex mask) and the pseudo-powers, so they follow _edge_tables and a patched
+    pseudo-power.  Per edge count e, the Macaulay bound on H(P/I, 3) and the Kruskal-Katona
+    bound on f_2.  The first min(|free|, 12) are the low edges: lane L, one per subset of them,
+    owns the w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1
+    in each field; per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing
+    some degree-3 monomials, (those monomials as a bitset, a 1 in each lane holding one of the
+    edges); per vertex v, (1 << v, the guard bits of the lanes whose edges all hold v); and the
+    _subset_table of the low edges and of the others, the high edges."""
+    bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
+                   for e in range(binomial(n, 2) + 1))
+    low, ring3 = free[:12], binomial(n + 2, 3)
     w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
     ones, mac = 1, [min(max(macaulay, 0), ring3 + 1) for macaulay, _ in bounds]
@@ -212,16 +206,17 @@ def _lanes(n: int, low: tuple[tuple[int, int], ...], bounds: tuple[tuple[int, in
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
     stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars) if v)
-    return w, ones, tuple(mac), tuple(planes), stars, _subset_table(low)
+    return bounds, w, ones, tuple(mac), tuple(planes), stars, _subset_table(low), _subset_table(free[12:])
 
 
 def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     """(checked, stars, gotzmann), weighted, over the blocks ((fixed, weight), ...), a block
     being the 2^free masks fixed | f << (C(n, 2) - free), the free edges being the last of
-    edge_pairs(n); a failure raises StarTheoremMismatch.  The tables are looked up once per call.
+    edge_pairs(n); a failure raises StarTheoremMismatch.  Each call makes two cache lookups,
+    _edge_tables(n) and _tables of its free edges.
 
     The fixed edges fold into one OR and AND.  The first min(free, 12) free edges are the low
-    edges, whose subsets L are the lanes of _lanes; the others stay a loop over subsets H.
+    edges, whose subsets L are the lanes of _tables; the others stay a loop over subsets H.
     With F the fixed edges and H, H(P/I, 3) >= M(|F| + |L|) exactly when
     u = M(|F| + |L|) + #(multiples of L, not of F) <= base = C(n+2, 3) - #(multiples of F),
     so one subtraction, (guard + base in each field) - u, keeps the guard bits of those lanes,
@@ -233,9 +228,8 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     if not 0 <= shift <= len(edges):
         raise ValueError("edge mask out of range")
     half = shift + min(free, 12)
-    bounds = _bounds(n, macaulay_pseudopower, kruskal_katona_pseudopower)
-    w, ones, mac, planes, vertex_stars, low = _lanes(n, edges[shift:half], bounds)
-    high = _subset_table(edges[half:])
+    bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
+        n, edges[shift:], macaulay_pseudopower, kruskal_katona_pseudopower)
     guard = ones << w - 1
     ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
     for fixed, weight in blocks:

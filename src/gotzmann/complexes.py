@@ -21,8 +21,12 @@ MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
 
 @lru_cache(maxsize=MAX_COMPLEX_FACES)  # as many masks as one complex may hold
 def _bits(mask: int) -> tuple[int, ...]:
-    """The one-bit masks of ``mask``, lowest first."""
-    return tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The one-bit masks of ``mask``, lowest first, one step per bit set."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask &= mask - 1
+    return tuple(bits)
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -100,7 +104,7 @@ class SimplicialComplex:
     @property
     def facets(self) -> frozenset[frozenset[int]]:
         """The faces contained in no other face."""
-        up = [1 << v for v in range(self.ground_size)]
+        up = {b for f in self.faces for b in _bits(f)}  # only a vertex of a face extends one
         maximal = (f for f in self.faces if self.faces.isdisjoint(f | b for b in up if not f & b))
         return frozenset(map(frozenset, map(_vertices, maximal)))
 

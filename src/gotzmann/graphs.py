@@ -76,10 +76,6 @@ class Graph:
         ]
         return Graph.from_edge_list(len(keep), edges)
 
-    def delete_closed_neighborhood(self, v: int) -> Graph:
-        """G minus v and all its neighbours, per the dependent-triple closed form."""
-        return self.delete_vertices({v} | self.neighbors(v))
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted((min(e), max(e)) for e in self.edges)
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import attrgetter, lshift
+from itertools import combinations_with_replacement, groupby
+from operator import attrgetter, lshift, sub
 from typing import Iterable
 
 from .combinatorics import binomial
@@ -157,19 +157,21 @@ class MonomialIdeal:
 @lru_cache(maxsize=None)
 def degree_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of degree k in n variables, lex-descending (x1 > ... > xn);
-    more than MAX_DEGREE_MONOMIALS of them raise ValueError before any is listed."""
+    more than MAX_DEGREE_MONOMIALS of them, or more than 16 * MAX_DEGREE_MONOMIALS
+    exponents in all, raise ValueError before any is listed."""
     if n < 1:
         raise ValueError("need at least one variable")
-    if binomial(n + k - 1, k) > MAX_DEGREE_MONOMIALS:
-        raise ValueError(f"degree {k} in {n} variables has {binomial(n + k - 1, k)} "
-                         f"monomials, more than {MAX_DEGREE_MONOMIALS}")
-    if n == 1:
-        return ((k,),)
-    out = []
-    for e in range(k, -1, -1):
-        for tail in degree_monomials(n - 1, k - e):
-            out.append((e,) + tail)
-    return tuple(out)
+    count = binomial(n + k - 1, k)
+    if count > MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"degree {k} in {n} variables has {count} monomials, "
+                         f"more than {MAX_DEGREE_MONOMIALS}")
+    if count * n > 16 * MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"degree {k} in {n} variables has {count} monomials of {n} exponents, "
+                         f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
+    # The sums of the first 1..n-1 exponents run over the non-decreasing (n-1)-tuples in 0..k,
+    # whose lex order is that of the vectors: each vector is the differences of (0, *sums, k).
+    return tuple(reversed([tuple(map(sub, (*sums, k), (0, *sums)))
+                           for sums in combinations_with_replacement(range(k + 1), n - 1)]))
 
 
 def hilbert_ring(n: int, k: int) -> int:
@@ -188,9 +190,10 @@ def _pack(exponents: tuple[int, ...], w: int) -> int:
 def packing(n: int, k: int) -> tuple[int, int]:
     """Width w of the fields of degree-k exponent vectors over n variables packed into ints
     (x_{i+1} at bit w * i; no exponent exceeds k, so g * m packs to g + m), and the mask of
-    each field's bits but its lowest, which a packed vector misses iff it is square-free."""
+    each field's bits but its lowest, which a packed vector misses iff it is square-free.
+    A 1 in each field is the geometric sum (2^(wn) - 1) / (2^w - 1), in time linear in n."""
     w = max(1, k.bit_length())
-    return w, ((1 << w) - 2) * _pack((1,) * n, w)
+    return w, ((1 << w) - 2) * (((1 << w * n) - 1) // ((1 << w) - 1))
 
 
 @lru_cache(maxsize=None)

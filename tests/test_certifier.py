@@ -85,7 +85,7 @@ class TestCertify:
         )
 
     def test_report_consistency_enforced(self):
-        with pytest.raises(AssertionError, match="Macaulay bound violated"):
+        with pytest.raises(ArithmeticError, match="Macaulay bound violated"):
             GotzmannReport(degree_d=2, h_quotient_d=10, h_quotient_d1=12,
                            macaulay_bound=11)
 
@@ -273,6 +273,12 @@ class TestVerifyStarTheorem:
             verify_star_theorem(4)
         assert info.value.graph == Graph.from_edge_mask(4, 1)
         assert "is_gotzmann=False, is_star=True" in str(info.value)
+
+    def test_a_second_run_builds_no_tables(self):
+        verify_star_theorem(8)
+        built = certifier._tables.cache_info().currsize
+        verify_star_theorem(8)
+        assert certifier._tables.cache_info().currsize == built
 
     def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
         # As above, but on (3, 4), the last edge at n = 4 and a lane edge, once the lane

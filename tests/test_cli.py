@@ -10,6 +10,7 @@ from gotzmann.combinatorics import binomial
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
 TRIANGLE_GRAPH = "3\n1 2\n1 3\n2 3\n"
+WIDE_IDEAL = "1000\n1:1 2:1\n"
 
 
 @pytest.fixture
@@ -119,6 +120,18 @@ class TestHilbert:
         assert (code, out) == (2, "")
         assert "more than 1048576" in err
 
+    def test_exponent_cap_on_a_wide_ideal(self, capsys, write):
+        # I_3 of x1*x2 on 1,000 variables lists 1,000 linear monomials of 1,000
+        # exponents; I_4 would list 500,500 quadratic ones, 5 * 10^8 exponents
+        path = write("wide.ideal", WIDE_IDEAL)
+        code, out, _ = run(capsys, "hilbert", "--ideal", path, "--degree", "3", "--machine")
+        assert (code, out) == (0, "degree=3\nh_ring=167167000\nh_ideal=1000\nh_quotient=167166000\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--ideal", path, "--degree", "4")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 16777216 exponents in all" in err
+
     def test_malformed_file(self, capsys, write):
         path = write("bad.ideal", "4\n9:1\n")
         code, _, err = run(capsys, "hilbert", "--ideal", path, "--degree", "3")
@@ -189,6 +202,19 @@ class TestGotzmann:
         code, out, _ = run(capsys, "gotzmann", "--ideal", path)
         assert code == 0
         assert "GOTZMANN" in out
+
+    def test_wide_ideals(self, capsys, write):
+        # a quadric on 1,000 variables is certified; on 10^6, I_3 would list 10^6
+        # linear monomials of 10^6 exponents each, and is refused at once
+        code, out, _ = run(capsys, "gotzmann", "--ideal", write("wide.ideal", WIDE_IDEAL), "--machine")
+        assert code == 0
+        assert out.endswith("square_free_check=true\nis_gotzmann=true\n")
+        path = write("huge.ideal", "1000000\n1:1 2:1\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "gotzmann", "--ideal", path)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "exponents in all" in err
 
     def test_human_shows_bound_next_to_value(self, capsys, write):
         path = write("star.graph", STAR7_GRAPH)
@@ -343,3 +369,7 @@ class TestLexIdeal:
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
         assert "more than 1048576" in err
+
+    def test_wide_segment(self, capsys):
+        code, out, _ = run(capsys, "lex-ideal", "1000", "1", "1")
+        assert (code, out) == (0, "1000 1\n1:1\n")

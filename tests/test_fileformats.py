@@ -118,6 +118,13 @@ class TestComplexFiles:
         with pytest.raises(InputFormatError, match="line 1"):
             parse_complex("3 1 2\n1 2\n")
 
+    def test_huge_ground_set_round_trips_at_once(self):
+        # facets are found among the vertices of the faces, not all 10^6 of the ground set
+        started = time.perf_counter()
+        text = "1000000\n1 1000000\n3\n"
+        assert format_complex(parse_complex(text)) == text
+        assert time.perf_counter() - started < 0.5
+
     def test_oversized_facet_refused_before_faces_are_built(self):
         assert 1 << 18 > MAX_COMPLEX_FACES
         started = time.perf_counter()

@@ -51,12 +51,6 @@ class TestGraph:
         assert STAR7.degree(7) == 0
         assert STAR7.neighbors(1) == frozenset({2, 3, 4, 5, 6})
 
-    def test_delete_closed_neighborhood(self):
-        h = STAR7.delete_closed_neighborhood(1)
-        assert h.vertex_count == 1 and h.edge_count == 0
-        h = TWO_K2.delete_closed_neighborhood(1)
-        assert h.vertex_count == 2 and h.edge_count == 1
-
 
 class TestEdgeIdeal:
     def test_star_generators(self):

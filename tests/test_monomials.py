@@ -146,6 +146,15 @@ class TestHilbertRing:
         with pytest.raises(ValueError, match="21 monomials, more than 15"):
             degree_monomials(3, 5)
 
+    def test_exponent_cap_both_sides(self, monkeypatch):
+        # with the cap lowered to 64: 32 linear monomials of 32 exponents fill the
+        # 16 * 64 = 1024 exponents, 33 of 33 pass them
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 64)
+        degree_monomials.cache_clear()
+        assert len(degree_monomials(32, 1)) == 32
+        with pytest.raises(ValueError, match="1024 exponents in all"):
+            degree_monomials(33, 1)
+
 
 class TestHilbertIdeal:
     def test_paper_example(self):

@@ -2,6 +2,8 @@
 
 Every check in src/gotzmann raises an explicit exception, because `python -O`
 strips assert statements and a check that vanishes under -O checks nothing.
+No module-level function calls itself, since a recursion deep enough to reach
+Python's limit ends in RecursionError, not in a refusal.
 The package imports nothing but the standard library and itself.  Every name
 the README's library overview lists exists in the module of its row.
 """
@@ -30,6 +32,24 @@ def test_detector_finds_a_bare_assert():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path.read_text()) == [], f"{path.name} uses assert"
+
+
+def self_calls(source: str) -> list[str]:
+    """Names of the module-level functions whose body calls them by name."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+                    for call in ast.walk(node))]
+
+
+def test_detector_finds_a_self_call():
+    source = "def f(n):\n    return n and f(n - 1)\n\ndef g(n):\n    return f(n)\n"
+    assert self_calls(source) == ["f"]
+    assert self_calls("class C:\n    def f(self):\n        return self.f()\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_recursive_functions(path):
+    assert self_calls(path.read_text()) == [], f"{path.name} has a function that calls itself"
 
 
 def imported_modules(source: str) -> set[str]:
