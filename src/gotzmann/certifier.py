@@ -137,9 +137,9 @@ class StarTheoremSummary:
 
 @lru_cache(maxsize=None)
 def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a
-    bitset over degree_monomials(n, 3) and its vertex mask; and the bitset of
-    the square-free cubics, which are the 3-subsets."""
+    """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a bitset,
+    bit i for monomial i of packed_monomials(n, 3, w), and its vertex mask; and the
+    bitset of the square-free cubics, which are the 3-subsets."""
     w, high = packing(n, 3)
     bits = {m: 1 << i for i, m in enumerate(packed_monomials(n, 3, w))}
     edges = tuple((sum(bits[m] for m in degree_part(edge_ideal(Graph.from_edge_list(n, [p])), 3)),
@@ -284,8 +284,10 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     vertices, raise ArithmeticError.  max_vertices outside 1..10, and workers != 1 (kept
     for callers passing 1), raise ValueError.
     """
-    if not 1 <= max_vertices <= 10 or workers != 1:
-        raise ValueError(f"max_vertices must be in 1..10 and workers 1, not {max_vertices} and {workers}")
+    if not 1 <= max_vertices <= 10:
+        raise ValueError(f"max_vertices must be in 1..10, not {max_vertices}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, not {workers}")
     start_time = time.perf_counter()
     per_n = []
     for n in range(1, max_vertices + 1):

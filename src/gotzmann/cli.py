@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 for success and true verdicts, 1 for false verdicts (not
-Gotzmann, theorem mismatch), 2 for malformed input.  Machine mode emits one
-``key=value`` pair per line and is byte-stable across runs.
+Exit codes: 0 for success and true verdicts, 1 for false verdicts (not Gotzmann,
+theorem mismatch), 2 for malformed input, 3 for a failed internal check.  Machine
+mode emits one ``key=value`` pair per line and is byte-stable across runs.
 """
 from __future__ import annotations
 
@@ -111,11 +111,7 @@ def _cmd_gotzmann(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        summary = certifier.verify_star_theorem(args.max_vertices)
-    except certifier.StarTheoremMismatch as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
-        return 1
+    summary = certifier.verify_star_theorem(args.max_vertices)
     if args.machine:
         print(f"max_vertices={summary.max_vertices}")
         print(f"graphs_checked={summary.graphs_checked}")
@@ -232,9 +228,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileformats.InputFormatError, ValueError, OSError) as exc:
+    except certifier.StarTheoremMismatch as exc:
+        print(f"MISMATCH: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -76,8 +76,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
             if exp < 1:
                 raise InputFormatError(f"line {lineno}: exponent must be positive in {token!r}")
             exps[var - 1] += exp
-        if sum(exps) == 0:
-            raise InputFormatError(f"line {lineno}: empty generator")
         generators.append(Monomial(tuple(exps)))
 
     if not generators and declared_degree is None:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, islice
 from operator import attrgetter, lshift, sub
 from typing import Iterable
 
 from .combinatorics import binomial
 
-MAX_DEGREE_MONOMIALS = 1 << 20  # cap on one degree's monomials: 10^7 tuples take about 1 GB
+MAX_DEGREE_MONOMIALS = 1 << 20  # cap on the monomials one call lists: 10^7 tuples take about 1 GB
 
 
 @dataclass(frozen=True)
@@ -154,26 +154,6 @@ class MonomialIdeal:
         return sorted(self.generators, key=lambda m: m.exponents, reverse=True)
 
 
-@lru_cache(maxsize=None)
-def degree_monomials(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of degree k in n variables, lex-descending (x1 > ... > xn);
-    more than MAX_DEGREE_MONOMIALS of them, or more than 16 * MAX_DEGREE_MONOMIALS
-    exponents in all, raise ValueError before any is listed."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    count = binomial(n + k - 1, k)
-    if count > MAX_DEGREE_MONOMIALS:
-        raise ValueError(f"degree {k} in {n} variables has {count} monomials, "
-                         f"more than {MAX_DEGREE_MONOMIALS}")
-    if count * n > 16 * MAX_DEGREE_MONOMIALS:
-        raise ValueError(f"degree {k} in {n} variables has {count} monomials of {n} exponents, "
-                         f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
-    # The sums of the first 1..n-1 exponents run over the non-decreasing (n-1)-tuples in 0..k,
-    # whose lex order is that of the vectors: each vector is the differences of (0, *sums, k).
-    return tuple(reversed([tuple(map(sub, (*sums, k), (0, *sums)))
-                           for sums in combinations_with_replacement(range(k + 1), n - 1)]))
-
-
 def hilbert_ring(n: int, k: int) -> int:
     """H(P, k) = C(n + k - 1, n - 1): all monomials of degree k in n variables."""
     if n < 1:
@@ -196,10 +176,27 @@ def packing(n: int, k: int) -> tuple[int, int]:
     return w, ((1 << w) - 2) * (((1 << w * n) - 1) // ((1 << w) - 1))
 
 
+def _cap(count: int, n: int, what: str) -> None:
+    """Refuse to list ``count`` monomials over n variables: more than MAX_DEGREE_MONOMIALS of
+    them, or more than 16 * MAX_DEGREE_MONOMIALS exponents in all, raise ValueError."""
+    if count > MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"{what} has {count} monomials, more than {MAX_DEGREE_MONOMIALS}")
+    if count * n > 16 * MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"{what} has {count} monomials of {n} exponents, "
+                         f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
+
+
 @lru_cache(maxsize=None)
 def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
-    """degree_monomials(n, j) in the same order, each packed with fields of w bits."""
-    return tuple(_pack(m, w) for m in degree_monomials(n, j))
+    """All exponent vectors of degree j in n variables, lex-descending (x1 > ... > xn), each
+    packed with fields of w bits; refused by _cap before any is listed."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    _cap(binomial(n + j - 1, j), n, f"degree {j} in {n} variables")
+    # The sums of the first 1..n-1 exponents run over the non-decreasing (n-1)-tuples in 0..j,
+    # whose lex order is that of the vectors: each vector is the differences of (0, *sums, j).
+    return tuple(reversed([_pack(tuple(map(sub, (*sums, j), (0, *sums))), w)
+                           for sums in combinations_with_replacement(range(j + 1), n - 1)]))
 
 
 def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:
@@ -227,10 +224,11 @@ def lex_segment_ideal(n: int, d: int, count: int) -> MonomialIdeal:
     """Ideal generated by the first ``count`` degree-d monomials in lex order."""
     total = hilbert_ring(n, d)
     if not 0 <= count <= total:
-        raise ValueError(
-            f"segment size {count} out of range 0..{total} for n={n}, d={d}"
-        )
-    gens = [Monomial(e) for e in degree_monomials(n, d)[:count]]
+        raise ValueError(f"segment size {count} out of range 0..{total} for n={n}, d={d}")
+    _cap(count, n, f"the lex segment of degree {d} in {n} variables")
+    # Index multisets of size d, as multiplicities of 0..n-1, come in lex-descending order.
+    gens = [Monomial(tuple(map(combo.count, range(n))))
+            for combo in islice(combinations_with_replacement(range(n), d), count)]
     return MonomialIdeal.from_generators(n, gens, degree=d)
 
 

@@ -24,12 +24,11 @@ from gotzmann.graphs import Graph, edge_ideal, edge_pairs, is_star
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
-    degree_monomials,
     hilbert_ideal,
     hilbert_quotient,
     lex_segment_ideal,
 )
-from oracles import stanley_reisner_faces
+from oracles import all_monomials, stanley_reisner_faces
 
 STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
 TRIANGLE = Graph.from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
@@ -100,7 +99,7 @@ class TestCertify:
 def equigenerated_ideals(draw):
     """A lex segment or a random ideal generated in degree d <= 3 on n <= 5 variables."""
     n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    pool = degree_monomials(n, d)
+    pool = all_monomials(n, d)
     if draw(st.booleans()):
         return lex_segment_ideal(n, d, draw(st.integers(0, len(pool))))
     generators = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
@@ -183,8 +182,6 @@ class TestDegreeTwoClosedForm:
     def test_non_squarefree_quadratic_sample(self, n, d, data):
         # the closed form only applies in degree two; sample degree-two
         # ideals with repeated variables allowed
-        from oracles import all_monomials
-
         pool = all_monomials(n, 2)
         gens = data.draw(
             st.lists(st.sampled_from(pool), min_size=0, max_size=n, unique=True)
@@ -248,13 +245,13 @@ class TestVerifyStarTheorem:
             "wall_time_seconds", "per_n"]
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_vertices must be in 1..10, not 0$"):
             verify_star_theorem(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_vertices must be in 1..10, not 11$"):
             verify_star_theorem(11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^workers must be 1, not 0$"):
             verify_star_theorem(3, workers=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^workers must be 1, not 2$"):
             verify_star_theorem(3, workers=2)
 
     def test_wrong_table_entry_reports_its_graph(self, monkeypatch):
@@ -264,7 +261,7 @@ class TestVerifyStarTheorem:
         cached = certifier._edge_tables
         edges, squarefree = cached(4)
         (multiples, vertices), *rest = edges
-        wrong = multiples | 1 << degree_monomials(4, 3).index((0, 0, 3, 0))
+        wrong = multiples | 1 << all_monomials(4, 3).index((0, 0, 3, 0))
         monkeypatch.setattr(
             certifier, "_edge_tables",
             lambda n: (((wrong, vertices), *rest), squarefree) if n == 4 else cached(n),
@@ -287,7 +284,7 @@ class TestVerifyStarTheorem:
         cached = certifier._edge_tables
         edges, squarefree = cached(4)
         *rest, (multiples, vertices) = edges
-        wrong = multiples | 1 << degree_monomials(4, 3).index((3, 0, 0, 0))
+        wrong = multiples | 1 << all_monomials(4, 3).index((3, 0, 0, 0))
         monkeypatch.setattr(
             certifier, "_edge_tables",
             lambda n: ((*rest, (wrong, vertices)), squarefree) if n == 4 else cached(n),

@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from gotzmann import certifier
 from gotzmann.cli import _build_parser, main
 from gotzmann.combinatorics import binomial
+from oracles import all_monomials
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
@@ -143,6 +145,12 @@ class TestHilbert:
             capsys, "hilbert", "--ideal", str(tmp_path / "nope"), "--degree", "2"
         )
         assert code == 2
+
+    def test_header_degree_disagreeing_with_generators(self, capsys, write):
+        path = write("bad.ideal", "3 2\n1:1\n")
+        code, out, err = run(capsys, "hilbert", "--ideal", path, "--degree", "3")
+        assert (code, out) == (2, "")
+        assert "declared degree disagrees with generators" in err
 
 
 class TestFvector:
@@ -297,6 +305,10 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "max_vertices must be in 1..10" in err
 
+    def test_refuses_an_empty_vertex_range(self, capsys):
+        code, out, err = run(capsys, "verify-star-theorem", "--max-vertices", "0")
+        assert (code, out, err) == (2, "", "error: max_vertices must be in 1..10, not 0\n")
+
     def test_human_mentions_wall_time(self, capsys):
         code, out, _ = run(capsys, "verify-star-theorem", "--max-vertices", "2")
         assert code == 0
@@ -313,6 +325,38 @@ class TestVerify:
              str(blocks)]
             for n, blocks in zip(range(1, 7), (1, 2, 6, 13, 24, 40))
         ]
+
+
+class TestExitCodes:
+    """Exit 1 is a false verdict, a theorem mismatch among them; exit 3 is a failed internal check."""
+
+    @pytest.mark.parametrize("argv", [["verify-star-theorem", "--max-vertices", "4"],
+                                      ["gotzmann", "--graph", "star.graph"]])
+    def test_macaulay_bound_violation_exits_3(self, capsys, monkeypatch, tmp_path, argv):
+        # one less than every Macaulay bound: each Gotzmann ideal now exceeds it
+        true_bound = certifier.macaulay_pseudopower
+        monkeypatch.setattr(certifier, "macaulay_pseudopower", lambda a, d: true_bound(a, d) - 1)
+        (tmp_path / "star.graph").write_text(STAR7_GRAPH)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ") and "Macaulay bound" in err
+
+    def test_theorem_mismatch_exits_1_with_its_graph(self, capsys, monkeypatch):
+        # the patched table of TestVerifyStarTheorem::test_wrong_table_entry_reports_its_graph
+        # in test_certifier.py: x3^3 counted as a multiple of x1*x2 on four vertices
+        cached = certifier._edge_tables
+        edges, squarefree = cached(4)
+        (multiples, vertices), *rest = edges
+        wrong = multiples | 1 << all_monomials(4, 3).index((0, 0, 3, 0))
+        monkeypatch.setattr(
+            certifier, "_edge_tables",
+            lambda n: (((wrong, vertices), *rest), squarefree) if n == 4 else cached(n),
+        )
+        code, out, err = run(capsys, "verify-star-theorem", "--max-vertices", "4")
+        assert (code, out) == (1, "")
+        assert err == ("MISMATCH: counterexample on 4 vertices (edge mask 1): is_gotzmann=False, "
+                       "is_star=True, e=1, f_2=2 against the Kruskal-Katona bound 2\n4\n1 2\n\n")
 
 
 MACHINE_ARGS = {
@@ -361,15 +405,20 @@ class TestLexIdeal:
         assert "out of range" in err
 
     def test_enumeration_cap_both_sides(self, capsys):
-        # C(16, 3) = 560 cubics in 14 variables; C(27, 14) > 2 * 10^7 in degree 14
+        # the cap counts the segment, not the C(27, 14) > 2 * 10^7 monomials of its degree
         code, out, _ = run(capsys, "lex-ideal", "14", "3", "1")
         assert (code, out) == (0, "14 3\n1:3\n")
+        code, out, _ = run(capsys, "lex-ideal", "14", "14", "1")
+        assert (code, out) == (0, "14 14\n1:14\n")
         started = time.perf_counter()
-        code, out, err = run(capsys, "lex-ideal", "14", "14", "1")
+        code, out, err = run(capsys, "lex-ideal", "14", "14", str((1 << 20) + 1))
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
-        assert "more than 1048576" in err
+        assert "has 1048577 monomials, more than 1048576" in err
 
     def test_wide_segment(self, capsys):
         code, out, _ = run(capsys, "lex-ideal", "1000", "1", "1")
         assert (code, out) == (0, "1000 1\n1:1\n")
+        # one of the 500,500 quadrics on 1,000 variables
+        code, out, _ = run(capsys, "lex-ideal", "1000", "2", "1")
+        assert (code, out) == (0, "1000 2\n1:2\n")

@@ -373,6 +373,8 @@ class TestCompressedComplex:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             compressed_complex(FVector((3, 3, 2)))
+        with pytest.raises(ValueError, match="empty f-vector"):
+            compressed_complex(FVector(()))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -41,6 +41,11 @@ class TestIdealFiles:
         )
         assert parse_ideal(format_ideal(ideal)) == ideal
 
+    def test_mixed_degree_header_has_no_degree(self):
+        ideal = MonomialIdeal.from_generators(4, [Monomial((1, 1, 1, 0)), Monomial((1, 0, 0, 1))])
+        assert format_ideal(ideal) == "4\n1:1 2:1 3:1\n1:1 4:1\n"
+        assert parse_ideal(format_ideal(ideal)) == ideal
+
     def test_errors_name_the_line(self):
         with pytest.raises(InputFormatError, match="line 2"):
             parse_ideal("3\n1:x\n")
@@ -48,6 +53,8 @@ class TestIdealFiles:
             parse_ideal("3\n4:1\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_ideal("zero\n1:1\n")
+        with pytest.raises(InputFormatError, match="line 2: exponent must be positive in '1:0'"):
+            parse_ideal("3\n1:0\n")
 
     def test_header_with_extra_fields_names_the_line(self):
         with pytest.raises(InputFormatError, match="line 2"):
@@ -74,6 +81,8 @@ class TestGraphFiles:
             parse_graph("3\n1 2\n1 2 3\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_graph("")
+        with pytest.raises(InputFormatError, match="line 2: vertices must be integers"):
+            parse_graph("3\n1 x\n")
 
     def test_header_with_extra_fields_names_the_line(self):
         with pytest.raises(InputFormatError, match="line 1"):
@@ -113,6 +122,8 @@ class TestComplexFiles:
             parse_complex("3\n1 1\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_complex("3\n")
+        with pytest.raises(InputFormatError, match="line 3: vertices must be integers"):
+            parse_complex("3\n1 2\n2 y\n")
 
     def test_header_with_extra_fields_names_the_line(self):
         with pytest.raises(InputFormatError, match="line 1"):

@@ -38,6 +38,8 @@ class TestGraph:
             Graph.from_edge_list(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph.from_edge_list(3, [(1, 4)])
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph(0, frozenset())
 
     def test_mask_round_trip(self):
         pairs = edge_pairs(4)

@@ -9,12 +9,12 @@ from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
     contains,
-    degree_monomials,
     degree_part,
     hilbert_ideal,
     hilbert_quotient,
     hilbert_ring,
     lex_segment_ideal,
+    packed_monomials,
     packing,
 )
 from oracles import all_monomials, count_in_ideal, divides, minimal_under
@@ -134,26 +134,35 @@ class TestHilbertRing:
         assert hilbert_ring(7, 3) == 84
 
     def test_lex_descending_order(self):
-        ms = degree_monomials(3, 2)
-        assert ms == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+        # two bits per exponent: x1^2 = 2, x1 * x2 = 1 + (1 << 2), x3^2 = 2 << 4
+        ms = packed_monomials(3, 2, 2)
+        assert ms == (2, 1 | 1 << 2, 1 | 1 << 4, 2 << 2, 1 << 2 | 1 << 4, 2 << 4)
+
+    def test_order_matches_oracle(self):
+        # the certifier's bitsets and lex segments both rest on this order
+        for n in range(1, 8):
+            for k in range(6):
+                w = max(1, k.bit_length())
+                expected = tuple(sum(e << w * i for i, e in enumerate(m)) for m in all_monomials(n, k))
+                assert packed_monomials(n, k, w) == expected, (n, k)
 
     def test_enumeration_cap_both_sides(self, monkeypatch):
         # with the cap lowered to 15: C(6, 4) = 15 quartics in 3 variables are
         # listed, C(7, 5) = 21 quintics are refused
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 15)
-        degree_monomials.cache_clear()
-        assert len(degree_monomials(3, 4)) == 15
+        packed_monomials.cache_clear()
+        assert len(packed_monomials(3, 4, 3)) == 15
         with pytest.raises(ValueError, match="21 monomials, more than 15"):
-            degree_monomials(3, 5)
+            packed_monomials(3, 5, 3)
 
     def test_exponent_cap_both_sides(self, monkeypatch):
         # with the cap lowered to 64: 32 linear monomials of 32 exponents fill the
         # 16 * 64 = 1024 exponents, 33 of 33 pass them
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 64)
-        degree_monomials.cache_clear()
-        assert len(degree_monomials(32, 1)) == 32
+        packed_monomials.cache_clear()
+        assert len(packed_monomials(32, 1, 1)) == 32
         with pytest.raises(ValueError, match="1024 exponents in all"):
-            degree_monomials(33, 1)
+            packed_monomials(33, 1, 1)
 
 
 class TestHilbertIdeal:
@@ -268,6 +277,25 @@ class TestLexSegment:
             lex_segment_ideal(3, 2, 7)
         with pytest.raises(ValueError):
             lex_segment_ideal(3, 2, -1)
+
+    def test_segments_are_prefixes_of_the_lex_order(self):
+        for n in range(1, 6):
+            for d in range(1, 4):
+                pool = all_monomials(n, d)
+                for count in range(len(pool) + 1):
+                    gens = lex_segment_ideal(n, d, count).sorted_generators()
+                    assert [g.exponents for g in gens] == pool[:count], (n, d, count)
+
+    def test_cap_counts_the_segment(self, monkeypatch):
+        # with the cap lowered to 4: four of the 10 quadrics in 4 variables are listed,
+        # five are refused; 16 * 4 = 64 exponents admit one quadric in 64 variables
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 4)
+        assert len(lex_segment_ideal(4, 2, 4).generators) == 4
+        with pytest.raises(ValueError, match="has 5 monomials, more than 4"):
+            lex_segment_ideal(4, 2, 5)
+        assert len(lex_segment_ideal(64, 2, 1).generators) == 1
+        with pytest.raises(ValueError, match="64 exponents in all"):
+            lex_segment_ideal(65, 2, 1)
 
     def test_segments_meet_macaulay_bound(self):
         # the Gotzmann property of lex segments, small sweep; the full

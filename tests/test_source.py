@@ -5,7 +5,9 @@ strips assert statements and a check that vanishes under -O checks nothing.
 No module-level function calls itself, since a recursion deep enough to reach
 Python's limit ends in RecursionError, not in a refusal.
 The package imports nothing but the standard library and itself.  Every name
-the README's library overview lists exists in the module of its row.
+the README's library overview lists exists in the module of its row.  Every
+exception class the package raises by name is caught by an except clause of
+cli.main, so the CLI turns it into an exit code rather than a traceback.
 """
 import ast
 import importlib
@@ -72,6 +74,47 @@ def test_import_detector():
 def test_stdlib_only(path):
     outside = imported_modules(path.read_text()) - sys.stdlib_module_names - {"gotzmann"}
     assert not outside, f"{path.name} imports {sorted(outside)} from outside the standard library"
+
+
+def raised_names(source: str) -> set[str]:
+    """The exception classes a module's source raises by name, as written: raise E(...) or raise m.E."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    return names
+
+
+def main_handlers(source: str) -> list[str]:
+    """The exception types that the except clauses of a module's main() name, as written."""
+    (main,) = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    return [ast.unparse(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler) and node.type]
+
+
+def uncaught(names: set[str], namespace: dict, caught: tuple[type, ...]) -> list[str]:
+    """The names whose class, looked up in the namespace, is no subclass of a caught class."""
+    return [name for name in sorted(names) if not issubclass(eval(name, namespace), caught)]
+
+
+def test_detector_finds_raised_and_caught_classes():
+    source = ("def main():\n    try:\n        raise m.E('x') from None\n    except (ValueError, m.E):\n"
+              "        raise\n    except OSError as exc:\n        raise KeyError\n")
+    assert raised_names(source) == {"m.E", "KeyError"}
+    assert main_handlers(source) == ["(ValueError, m.E)", "OSError"]
+    fileformats = importlib.import_module("gotzmann.fileformats")
+    assert uncaught({"KeyError", "InputFormatError"}, vars(fileformats), (ValueError,)) == ["KeyError"]
+
+
+def test_cli_main_catches_every_raised_class():
+    cli = importlib.import_module("gotzmann.cli")
+    caught = ()
+    for text in main_handlers((ROOT / "src" / "gotzmann" / "cli.py").read_text()):
+        value = eval(text, vars(cli))
+        caught += value if isinstance(value, tuple) else (value,)
+    for path in SOURCES:
+        module = importlib.import_module("gotzmann" if path.stem == "__init__" else f"gotzmann.{path.stem}")
+        assert uncaught(raised_names(path.read_text()), vars(module), caught) == [], \
+            f"{path.name} raises a class that cli.main does not catch"
 
 
 def overview_rows(readme: str) -> list[tuple[str, list[str]]]:
