@@ -7,6 +7,9 @@ lines starting with ``#`` are comments.  Variables and vertices are
 """
 from __future__ import annotations
 
+import sys
+from itertools import compress
+
 from .complexes import SimplicialComplex
 from .graphs import Graph
 from .monomials import Monomial, MonomialIdeal
@@ -43,8 +46,8 @@ def _parse_header(
             values.append(int(field))
         except ValueError:
             raise InputFormatError(f"line {lineno}: {name} must be an integer, got {field!r}") from None
-        if values[-1] < 1:
-            raise InputFormatError(f"line {lineno}: {name} must be positive")
+        if not 1 <= values[-1] <= sys.maxsize:  # a count past sys.maxsize cannot size a list
+            raise InputFormatError(f"line {lineno}: {name} must be in 1..{sys.maxsize}")
     return values, lines[1:]
 
 
@@ -95,9 +98,8 @@ def format_ideal(ideal: MonomialIdeal) -> str:
         header = str(ideal.ambient_vars)
     lines = [header]
     for g in ideal.sorted_generators():
-        lines.append(
-            " ".join(f"{i + 1}:{e}" for i, e in enumerate(g.exponents) if e)
-        )
+        # compress drops the zero exponents before any is formatted
+        lines.append(" ".join(f"{i}:{e}" for i, e in compress(enumerate(g.exponents, 1), g.exponents)))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, groupby, islice
 from operator import attrgetter, lshift, sub
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .combinatorics import binomial
 
@@ -27,7 +27,7 @@ class Monomial:
     def __post_init__(self) -> None:
         if not self.exponents:
             raise ValueError("monomial needs at least one variable slot")
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:
             raise ValueError("exponents must be non-negative")
 
     @classmethod
@@ -220,16 +220,32 @@ def hilbert_quotient(ideal: MonomialIdeal, k: int) -> int:
     return hilbert_ring(ideal.ambient_vars, k) - hilbert_ideal(ideal, k)
 
 
+def _lex_descending(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The exponent vectors of degree d in n variables, lex-descending, each made from the one
+    before in O(n) whatever d: the last positive exponent before x_n gives one to the next."""
+    e = [d] + [0] * (n - 1)
+    i = 0 if n > 1 and d else -1  # the last position before n - 1 with a positive exponent
+    yield tuple(e)
+    while i >= 0:
+        e[i] -= 1
+        tail, e[-1] = e[-1], 0
+        e[i + 1] = tail + 1  # positions i + 1 .. n - 2 held 0
+        i = min(i + 1, n - 2)
+        while i >= 0 and not e[i]:  # steps back only over positions it stepped forward over
+            i -= 1
+        yield tuple(e)
+
+
 def lex_segment_ideal(n: int, d: int, count: int) -> MonomialIdeal:
-    """Ideal generated by the first ``count`` degree-d monomials in lex order."""
-    total = hilbert_ring(n, d)
-    if not 0 <= count <= total:
-        raise ValueError(f"segment size {count} out of range 0..{total} for n={n}, d={d}")
+    """Ideal generated by the first ``count`` degree-d monomials in lex order, listed no
+    further; the cap is applied to those ``count``, so its work does not depend on d."""
+    if n < 1 or d < 0 or count < 0:
+        raise ValueError(f"need n >= 1, d >= 0 and count >= 0, not {n}, {d} and {count}")
     _cap(count, n, f"the lex segment of degree {d} in {n} variables")
-    # Index multisets of size d, as multiplicities of 0..n-1, come in lex-descending order.
-    gens = [Monomial(tuple(map(combo.count, range(n))))
-            for combo in islice(combinations_with_replacement(range(n), d), count)]
-    return MonomialIdeal.from_generators(n, gens, degree=d)
+    gens = [Monomial(e) for e in islice(_lex_descending(n, d), count)]
+    if len(gens) < count:  # the listing ran out: len(gens) is all C(n + d - 1, d) of them
+        raise ValueError(f"segment size {count} out of range 0..{len(gens)} for n={n}, d={d}")
+    return MonomialIdeal(n, d, frozenset(gens))  # distinct, of one degree: minimal
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:

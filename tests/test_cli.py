@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import argparse
+import sys
 import time
 
 import pytest
@@ -342,6 +343,17 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: ") and "Macaulay bound" in err
 
+    @pytest.mark.parametrize("argv", [["hilbert", "--ideal", "big", "--degree", "2"],
+                                      ["gotzmann", "--ideal", "big"], ["gotzmann", "--graph", "big"],
+                                      ["fvector", "--complex", "big"]])
+    def test_header_past_an_index_exits_2(self, capsys, tmp_path, argv):
+        # a count that no list can have is malformed input, not a failed internal check
+        (tmp_path / "big").write_text(f"{sys.maxsize + 1}\n1 2\n")
+        argv = [str(tmp_path / a) if a == "big" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ") and f"must be in 1..{sys.maxsize}" in err
+
     def test_theorem_mismatch_exits_1_with_its_graph(self, capsys, monkeypatch):
         # the patched table of TestVerifyStarTheorem::test_wrong_table_entry_reports_its_graph
         # in test_certifier.py: x3^3 counted as a multiple of x1*x2 on four vertices
@@ -415,6 +427,22 @@ class TestLexIdeal:
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
         assert "has 1048577 monomials, more than 1048576" in err
+
+    def test_work_does_not_grow_with_the_degree(self, capsys):
+        # each monomial is made from the one before in O(n), so a huge degree costs nothing
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "lex-ideal", "2", "1000000000", "1")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (0, "2 1000000000\n1:1000000000\n")
+        # 1024 monomials of 16384 exponents sit at the exponent cap; listing them through
+        # multisets of size 1000 made about 1.7 * 10^10 comparisons
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "lex-ideal", "16384", "1000", "1024")
+        assert time.perf_counter() - started < 10.0
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["16384 1000", "1:1000", "1:999 2:1"]
+        assert (len(lines), lines[-1]) == (1025, "1:999 1024:1")
 
     def test_wide_segment(self, capsys):
         code, out, _ = run(capsys, "lex-ideal", "1000", "1", "1")

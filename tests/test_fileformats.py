@@ -1,4 +1,5 @@
 """Tests for the plain-text ideal, graph and complex file formats."""
+import sys
 import time
 
 import pytest
@@ -55,6 +56,8 @@ class TestIdealFiles:
             parse_ideal("zero\n1:1\n")
         with pytest.raises(InputFormatError, match="line 2: exponent must be positive in '1:0'"):
             parse_ideal("3\n1:0\n")
+        with pytest.raises(InputFormatError, match="line 1: variable count must be in 1.."):
+            parse_ideal(f"{sys.maxsize + 1}\n1:1\n")
 
     def test_header_with_extra_fields_names_the_line(self):
         with pytest.raises(InputFormatError, match="line 2"):
@@ -81,6 +84,8 @@ class TestGraphFiles:
             parse_graph("3\n1 2\n1 2 3\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_graph("")
+        with pytest.raises(InputFormatError, match="line 1: vertex count must be in 1.."):
+            parse_graph(f"{sys.maxsize + 1}\n1 2\n")
         with pytest.raises(InputFormatError, match="line 2: vertices must be integers"):
             parse_graph("3\n1 x\n")
 
@@ -122,6 +127,8 @@ class TestComplexFiles:
             parse_complex("3\n1 1\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_complex("3\n")
+        with pytest.raises(InputFormatError, match="line 1: ground size must be in 1.."):
+            parse_complex(f"{sys.maxsize + 1}\n1 2\n")
         with pytest.raises(InputFormatError, match="line 3: vertices must be integers"):
             parse_complex("3\n1 2\n2 y\n")
 
