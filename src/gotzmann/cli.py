@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import certifier, combinatorics, complexes, fileformats, graphs, monomials
@@ -49,18 +50,20 @@ def _cmd_pseudopower(args) -> int:
 def _cmd_hilbert(args) -> int:
     ideal = fileformats.parse_ideal(_read(args.ideal))
     k = args.degree
+    h_ideal = monomials.hilbert_ideal(ideal, k)  # first: a refused listing skips H(P, k)
     h_ring = monomials.hilbert_ring(ideal.ambient_vars, k)
-    h_ideal = monomials.hilbert_ideal(ideal, k)
     h_quotient = h_ring - h_ideal
+    # Decimal prints ints past the digit limit of str(), which stays on so that an overlong
+    # integer in a file or argv is refused at once
     if args.machine:
         print(f"degree={k}")
-        print(f"h_ring={h_ring}")
+        print(f"h_ring={Decimal(h_ring)}")
         print(f"h_ideal={h_ideal}")
-        print(f"h_quotient={h_quotient}")
+        print(f"h_quotient={Decimal(h_quotient)}")
     else:
-        print(f"H(P, {k})   = {h_ring}")
+        print(f"H(P, {k})   = {Decimal(h_ring)}")
         print(f"H(I, {k})   = {h_ideal}")
-        print(f"H(P/I, {k}) = {h_quotient}")
+        print(f"H(P/I, {k}) = {Decimal(h_quotient)}")
     return 0
 
 

@@ -64,8 +64,8 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     """
     if a < 0:
         raise ValueError("a must be non-negative")
-    if d < 1:
-        raise ValueError("d must be positive")
+    if not 1 <= d <= MAX_BASE_STEPS:  # each of the d coefficients evaluates a binomial at least once
+        raise ValueError(f"d must be in 1..{MAX_BASE_STEPS}, not {d}")
     # b_i takes b_i - i + 1 steps, and b_i <= b_d - (d - i), so no coefficient
     # takes more than b_d's b_d - d + 1.  Capping b_d at cap = MAX_BASE_STEPS // d
     # caps the whole search; b_d passes it exactly when C(d + cap, d) <= a.  That
@@ -73,7 +73,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     cap = MAX_BASE_STEPS // d
     if a.bit_length() > min(d, cap) and binomial(d + cap, d) <= a:
         raise ValueError(
-            f"a = {a} at d = {d} could take more than {MAX_BASE_STEPS} steps in total"
+            f"a of {a.bit_length()} bits at d = {d} could take more than {MAX_BASE_STEPS} steps in total"
         )
     coefficients = []
     remainder = a

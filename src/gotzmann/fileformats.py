@@ -12,33 +12,24 @@ from itertools import compress
 
 from .complexes import SimplicialComplex
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _cap
 
 
 class InputFormatError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
-
-
-def _parse_header(
-    lines: list[tuple[int, str]], *names: str
-) -> tuple[list[int], list[tuple[int, str]]]:
-    """Header integers, one per name (trailing ones optional), and the lines after it."""
+def _read(text: str, *names: str) -> tuple[list[int], list[tuple[int, list[str]]]]:
+    """The header integers, one per name (trailing ones optional), and each later data line
+    as (line number, fields); blank lines and lines starting with # are skipped."""
+    lines = [(lineno, fields) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (fields := raw.split()) and not fields[0].startswith("#")]
     if not lines:
         raise InputFormatError(f"line 1: missing {names[0]} header")
-    lineno, line = lines[0]
-    fields = line.split()
+    lineno, fields = lines[0]
     if len(fields) > len(names):
         raise InputFormatError(
-            f"line {lineno}: header takes at most {len(names)} field(s), got {line!r}"
+            f"line {lineno}: header takes at most {len(names)} field(s), got {' '.join(fields)!r}"
         )
     values = []
     for name, field in zip(names, fields):
@@ -51,6 +42,20 @@ def _parse_header(
     return values, lines[1:]
 
 
+def _vertices(lineno: int, fields: list[str], n: int) -> list[int]:
+    """A data line's fields as distinct vertices in 1..n."""
+    try:
+        vertices = [int(f) for f in fields]
+    except ValueError:
+        raise InputFormatError(f"line {lineno}: vertices must be integers") from None
+    for v in vertices:
+        if not 1 <= v <= n:
+            raise InputFormatError(f"line {lineno}: vertex {v} outside 1..{n}")
+    if len(set(vertices)) != len(vertices):
+        raise InputFormatError(f"line {lineno}: repeated vertex")
+    return vertices
+
+
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse an ideal file.
 
@@ -59,14 +64,14 @@ def parse_ideal(text: str) -> MonomialIdeal:
     generator as space-separated ``var:exp`` tokens, e.g. ``1:1 2:1`` for
     x1*x2.
     """
-    lines = _data_lines(text)
-    (n, *degree), rest = _parse_header(lines, "variable count", "generation degree")
+    (n, *degree), rest = _read(text, "variable count", "generation degree")
     declared_degree = degree[0] if degree else None
+    _cap(len(rest), n, "the ideal file")  # before any dense exponent vector is built
 
     generators = []
-    for lineno, line in rest:
+    for lineno, fields in rest:
         exps = [0] * n
-        for token in line.split():
+        for token in fields:
             var_s, _, exp_s = token.partition(":")
             try:
                 var, exp = int(var_s), int(exp_s)
@@ -105,22 +110,12 @@ def format_ideal(ideal: MonomialIdeal) -> str:
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph file: line 1 = vertex count, each following line ``u v``."""
-    lines = _data_lines(text)
-    (n,), rest = _parse_header(lines, "vertex count")
+    (n,), rest = _read(text, "vertex count")
     edges = []
-    for lineno, line in rest:
-        fields = line.split()
+    for lineno, fields in rest:
         if len(fields) != 2:
-            raise InputFormatError(f"line {lineno}: expected two vertices, got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: vertices must be integers") from None
-        if u == v:
-            raise InputFormatError(f"line {lineno}: loop at vertex {u} not allowed")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputFormatError(f"line {lineno}: edge {u} {v} outside 1..{n}")
-        edges.append((u, v))
+            raise InputFormatError(f"line {lineno}: expected two vertices, got {' '.join(fields)!r}")
+        edges.append(_vertices(lineno, fields, n))
     return Graph.from_edge_list(n, edges)
 
 
@@ -132,20 +127,8 @@ def format_graph(g: Graph) -> str:
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse a complex file: line 1 = ground size, each following line one facet."""
-    lines = _data_lines(text)
-    (n,), rest = _parse_header(lines, "ground size")
-    facets = []
-    for lineno, line in rest:
-        try:
-            vertices = [int(f) for f in line.split()]
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: vertices must be integers") from None
-        for v in vertices:
-            if not 1 <= v <= n:
-                raise InputFormatError(f"line {lineno}: vertex {v} outside 1..{n}")
-        if len(set(vertices)) != len(vertices):
-            raise InputFormatError(f"line {lineno}: repeated vertex in facet")
-        facets.append(vertices)
+    (n,), rest = _read(text, "ground size")
+    facets = [_vertices(lineno, fields, n) for lineno, fields in rest]
     if not facets:
         raise InputFormatError("line 1: complex file lists no facets")
     try:

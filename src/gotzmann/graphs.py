@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .combinatorics import binomial
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _cap
 
 
 def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -86,6 +86,7 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
     Distinct edges give distinct degree-2 generators, so they are already minimal.
     """
     n = g.vertex_count
+    _cap(g.edge_count, n, "the edge ideal")  # before any dense exponent vector is built
     return MonomialIdeal(n, 2, frozenset(Monomial.squarefree(n, e) for e in g.edges))
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, groupby, islice
-from operator import attrgetter, lshift, sub
+from itertools import groupby, islice
+from operator import attrgetter, lshift
 from typing import Iterable, Iterator
 
 from .combinatorics import binomial
@@ -180,7 +180,7 @@ def _cap(count: int, n: int, what: str) -> None:
     """Refuse to list ``count`` monomials over n variables: more than MAX_DEGREE_MONOMIALS of
     them, or more than 16 * MAX_DEGREE_MONOMIALS exponents in all, raise ValueError."""
     if count > MAX_DEGREE_MONOMIALS:
-        raise ValueError(f"{what} has {count} monomials, more than {MAX_DEGREE_MONOMIALS}")
+        raise ValueError(f"{what} has more than {MAX_DEGREE_MONOMIALS} monomials")
     if count * n > 16 * MAX_DEGREE_MONOMIALS:
         raise ValueError(f"{what} has {count} monomials of {n} exponents, "
                          f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
@@ -192,11 +192,15 @@ def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
     packed with fields of w bits; refused by _cap before any is listed."""
     if n < 1:
         raise ValueError("need at least one variable")
-    _cap(binomial(n + j - 1, j), n, f"degree {j} in {n} variables")
-    # The sums of the first 1..n-1 exponents run over the non-decreasing (n-1)-tuples in 0..j,
-    # whose lex order is that of the vectors: each vector is the differences of (0, *sums, j).
-    return tuple(reversed([_pack(tuple(map(sub, (*sums, j), (0, *sums))), w)
-                           for sums in combinations_with_replacement(range(j + 1), n - 1)]))
+    # C(n + j - 1, j) = C(m + k, k), built as C(m + i, i) for i = 1..k; each factor (m + i) / i
+    # is at least 2, so it passes the cap within about 21 steps, where it stops
+    k, m = sorted((j, n - 1))
+    count = i = 1
+    while i <= k and count <= MAX_DEGREE_MONOMIALS:
+        count = count * (m + i) // i
+        i += 1
+    _cap(count, n, f"degree {j} in {n} variables")
+    return tuple(_pack(e, w) for e in _lex_descending(n, j))
 
 
 def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:

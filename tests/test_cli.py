@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface."""
 import argparse
+import os
+import subprocess
 import sys
 import time
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
 TRIANGLE_GRAPH = "3\n1 2\n1 3\n2 3\n"
 WIDE_IDEAL = "1000\n1:1 2:1\n"
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -29,6 +34,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv):
+    """The CLI in a child process whose address space is capped at 1 GiB, so that dense
+    allocation there ends in MemoryError rather than in the host running out of memory;
+    returns the exit code, the output, the errors and the child's wall time."""
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from gotzmann.cli import main; sys.exit(main(sys.argv[1:]))")
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - started
 
 
 class TestMacaulayRep:
@@ -134,6 +151,20 @@ class TestHilbert:
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
         assert "more than 16777216 exponents in all" in err
+
+    def test_exact_values_past_the_digit_limit(self, capsys, write):
+        # H(P, 10^4) over 10^4 variables is C(19999, 9999), 6,019 digits, past the 4,300
+        # that str() converts by default; a 5,000-digit exponent is still refused as input
+        path = write("power.ideal", "10000\n1:10000\n")
+        code, out, _ = run(capsys, "hilbert", "--ideal", path, "--degree", "10000", "--machine")
+        assert code == 0
+        values = dict(line.split("=") for line in out.splitlines())
+        assert len(values["h_ring"]) == 6019 and Decimal(values["h_ring"]) == binomial(19999, 9999)
+        assert values["h_ideal"] == "1" and Decimal(values["h_quotient"]) == binomial(19999, 9999) - 1
+        path = write("long.ideal", "2\n1:" + "9" * 5000 + "\n")
+        code, out, err = run(capsys, "hilbert", "--ideal", path, "--degree", "2")
+        assert (code, out) == (2, "")
+        assert "line 2: bad token" in err
 
     def test_malformed_file(self, capsys, write):
         path = write("bad.ideal", "4\n9:1\n")
@@ -354,6 +385,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: ") and f"must be in 1..{sys.maxsize}" in err
 
+    @pytest.mark.parametrize("argv, content, message", [
+        (["hilbert", "--ideal", "big", "--degree", "2"], "1000000000\n1:1\n", "exponents in all"),
+        (["gotzmann", "--ideal", "big"], "1000000000\n1:1\n", "exponents in all"),
+        (["gotzmann", "--graph", "big"], "1000000000\n1 2\n", "exponents in all"),
+        (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], "100000\n1:1 2:1\n",
+         "more than 1048576 monomials"),
+        (["macaulay-rep", "0", str(10 ** 12)], None, "d must be in 1..10000000"),
+    ])
+    def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
+        # each of these once built 10^9 or more list entries, or computed a binomial of
+        # millions of digits, before it was refused
+        if content is not None:
+            (tmp_path / "big").write_text(content)
+        argv = [str(tmp_path / a) if a == "big" else a for a in argv]
+        code, out, err, seconds = run_limited(*argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: ") and message in err
+        assert seconds < 1.0
+
     def test_theorem_mismatch_exits_1_with_its_graph(self, capsys, monkeypatch):
         # the patched table of TestVerifyStarTheorem::test_wrong_table_entry_reports_its_graph
         # in test_certifier.py: x3^3 counted as a multiple of x1*x2 on four vertices
@@ -426,7 +476,7 @@ class TestLexIdeal:
         code, out, err = run(capsys, "lex-ideal", "14", "14", str((1 << 20) + 1))
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
-        assert "has 1048577 monomials, more than 1048576" in err
+        assert "more than 1048576 monomials" in err
 
     def test_work_does_not_grow_with_the_degree(self, capsys):
         # each monomial is made from the one before in O(n), so a huge degree costs nothing

@@ -123,6 +123,16 @@ class TestBaseSearchCap:
         with pytest.raises(ValueError):
             kruskal_katona_pseudopower(limit, d)
 
+    def test_degree_counts_against_the_cap(self, monkeypatch):
+        # each of the d coefficients takes a step: with the cap lowered to 50, d = 50 is
+        # accepted and d = 51 refused, whatever a
+        monkeypatch.setattr(combinatorics, "MAX_BASE_STEPS", 50)
+        assert macaulay_rep(0, 50).coefficients == tuple(range(49, -1, -1))
+        assert (macaulay_pseudopower(1, 50), kruskal_katona_pseudopower(1, 50)) == (1, 0)
+        for f in (macaulay_rep, macaulay_pseudopower, kruskal_katona_pseudopower):
+            with pytest.raises(ValueError, match=r"^d must be in 1\.\.50, not 51$"):
+                f(0, 51)
+
     def test_real_cap_refuses_without_searching(self):
         with pytest.raises(ValueError):
             macaulay_rep(MAX_BASE_STEPS + 1, 1)

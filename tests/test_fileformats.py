@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from gotzmann import monomials
 from gotzmann.complexes import MAX_COMPLEX_FACES, stanley_reisner_complex
 from gotzmann.fileformats import (
     InputFormatError,
@@ -64,6 +65,16 @@ class TestIdealFiles:
             parse_ideal("# comment\n3 2 1\n1:2\n")
         with pytest.raises(InputFormatError, match="line 1: generation degree"):
             parse_ideal("3 0\n")
+
+    def test_exponent_cap_before_dense_vectors(self, monkeypatch):
+        # with the cap lowered to 4: 16 * 4 = 64 exponents admit one generator over
+        # 64 variables or two over 32, and no more
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 4)
+        assert len(parse_ideal("64\n1:1\n").generators) == 1
+        assert len(parse_ideal("32\n1:1\n2:1\n").generators) == 2
+        for text in ("65\n1:1\n", "33\n1:1\n2:1\n"):
+            with pytest.raises(ValueError, match="more than 64 exponents in all"):
+                parse_ideal(text)
 
 
 class TestGraphFiles:

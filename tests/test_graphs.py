@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import monomials
 from gotzmann.combinatorics import binomial
 from gotzmann.complexes import f_vector, stanley_reisner_complex
 from gotzmann.graphs import (
@@ -78,6 +79,16 @@ class TestEdgeIdeal:
         assert {g.support for g in i.generators} == {
             frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})
         }
+
+    def test_exponent_cap_before_dense_vectors(self, monkeypatch):
+        # with the cap lowered to 4: 16 * 4 = 64 exponents admit one edge on 64 vertices
+        # or two on 32, and no more
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 4)
+        assert len(edge_ideal(Graph.from_edge_list(64, [(1, 2)])).generators) == 1
+        assert len(edge_ideal(Graph.from_edge_list(32, [(1, 2), (1, 3)])).generators) == 2
+        for g in (Graph.from_edge_list(65, [(1, 2)]), Graph.from_edge_list(33, [(1, 2), (1, 3)])):
+            with pytest.raises(ValueError, match="more than 64 exponents in all"):
+                edge_ideal(g)
 
 
 class TestIsStar:

@@ -152,7 +152,7 @@ class TestHilbertRing:
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 15)
         packed_monomials.cache_clear()
         assert len(packed_monomials(3, 4, 3)) == 15
-        with pytest.raises(ValueError, match="21 monomials, more than 15"):
+        with pytest.raises(ValueError, match="more than 15 monomials"):
             packed_monomials(3, 5, 3)
 
     def test_exponent_cap_both_sides(self, monkeypatch):
@@ -291,7 +291,7 @@ class TestLexSegment:
         # five are refused; 16 * 4 = 64 exponents admit one quadric in 64 variables
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 4)
         assert len(lex_segment_ideal(4, 2, 4).generators) == 4
-        with pytest.raises(ValueError, match="has 5 monomials, more than 4"):
+        with pytest.raises(ValueError, match="more than 4 monomials"):
             lex_segment_ideal(4, 2, 5)
         assert len(lex_segment_ideal(64, 2, 1).generators) == 1
         with pytest.raises(ValueError, match="64 exponents in all"):
