@@ -11,37 +11,38 @@ against the Macaulay bound; only those at it, and stars, reach the scalar checks
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import or_
 from typing import Callable, NamedTuple
 
-from .combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
+from .combinatorics import _Value, binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
 from .graphs import Graph, edge_ideal, edge_pairs
 from .monomials import MonomialIdeal, degree_part, hilbert_ring, packed_monomials, packing
 
 
-@dataclass(frozen=True, kw_only=True)
-class GotzmannReport:
-    """Certifier output: the two Hilbert values and the Macaulay bound.
+class GotzmannReport(_Value, namedtuple(
+        "GotzmannReport", "degree_d h_quotient_d h_quotient_d1 macaulay_bound square_free_check")):
+    """Certifier output: the two Hilbert values and the Macaulay bound, built by keyword only.
 
     ``square_free_check`` holds f_d == f_{d-1}^(d) for square-free ideals and
     None otherwise; it is an implication witness (Gotzmann implies true), not
     an equivalence.
     """
 
-    degree_d: int
-    h_quotient_d: int
-    h_quotient_d1: int
-    macaulay_bound: int
-    square_free_check: bool | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h_quotient_d1 > self.macaulay_bound:
+    def __new__(cls, *, degree_d: int, h_quotient_d: int, h_quotient_d1: int, macaulay_bound: int,
+                square_free_check: bool | None = None) -> GotzmannReport:
+        if h_quotient_d1 > macaulay_bound:
             raise ArithmeticError("Macaulay bound violated: arithmetic bug in the enumeration")
+        return tuple.__new__(cls, (degree_d, h_quotient_d, h_quotient_d1, macaulay_bound, square_free_check))
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
+        return (), self._asdict()
 
     @property
     def is_gotzmann(self) -> bool:
@@ -71,13 +72,8 @@ def certify(ideal: MonomialIdeal) -> GotzmannReport:
         _, high = packing(n, d + 1)
         f_top = binomial(n, d + 1) - sum(1 for m in top if not m & high)
         square_free_check = f_top == kruskal_katona_pseudopower(f_prev, d)
-    return GotzmannReport(
-        degree_d=d,
-        h_quotient_d=h_d,
-        h_quotient_d1=h_d1,
-        macaulay_bound=bound,
-        square_free_check=square_free_check,
-    )
+    return GotzmannReport(degree_d=d, h_quotient_d=h_d, h_quotient_d1=h_d1, macaulay_bound=bound,
+                          square_free_check=square_free_check)
 
 
 def gotzmann_value_deg2(n: int, m: int) -> int:
@@ -118,9 +114,10 @@ class VertexCountRecord(NamedTuple):
     representatives: int
     seconds: float
 
+    __eq__, __ne__, __hash__ = _Value.__eq__, _Value.__ne__, _Value.__hash__  # a NamedTuple has one base
 
-@dataclass(frozen=True)
-class StarTheoremSummary:
+
+class StarTheoremSummary(NamedTuple):
     """Aggregated result of the exhaustive labeled-graph verification.  ``mismatches``
     is always 0, since every failure raises StarTheoremMismatch instead of being
     counted; it stays because ``--machine`` output and bench/ read it.  ``per_n`` holds
@@ -133,6 +130,8 @@ class StarTheoremSummary:
     mismatches: int
     wall_time_seconds: float
     per_n: tuple[VertexCountRecord, ...] = ()
+
+    __eq__, __ne__, __hash__ = _Value.__eq__, _Value.__ne__, _Value.__hash__  # a NamedTuple has one base
 
 
 @lru_cache(maxsize=None)

@@ -83,14 +83,10 @@ def _cmd_fvector(args) -> int:
 
 
 def _print_report(report: certifier.GotzmannReport, machine: bool) -> None:
-    if machine:
-        print(f"degree_d={report.degree_d}")
-        print(f"h_quotient_d={report.h_quotient_d}")
-        print(f"h_quotient_d1={report.h_quotient_d1}")
-        print(f"macaulay_bound={report.macaulay_bound}")
-        if report.square_free_check is not None:
-            print(f"square_free_check={_bool(report.square_free_check)}")
-        print(f"is_gotzmann={_bool(report.is_gotzmann)}")
+    if machine:  # the fields in order, square_free_check only when set, then the verdict
+        for name, value in (*report._asdict().items(), ("is_gotzmann", report.is_gotzmann)):
+            if value is not None:
+                print(f"{name}={_bool(value) if isinstance(value, bool) else value}")
     else:
         d = report.degree_d
         _row("generation degree d:", d)
@@ -115,12 +111,9 @@ def _cmd_gotzmann(args) -> int:
 
 def _cmd_verify(args) -> int:
     summary = certifier.verify_star_theorem(args.max_vertices)
-    if args.machine:
-        print(f"max_vertices={summary.max_vertices}")
-        print(f"graphs_checked={summary.graphs_checked}")
-        print(f"stars_found={summary.stars_found}")
-        print(f"gotzmann_found={summary.gotzmann_found}")
-        print(f"mismatches={summary.mismatches}")
+    if args.machine:  # the first five fields; the wall time and per_n vary from run to run
+        for name, value in zip(summary._fields[:5], summary):
+            print(f"{name}={value}")
     else:
         _row("vertex range:", f"1..{summary.max_vertices}")
         _row("graphs checked:", summary.graphs_checked)

@@ -5,14 +5,25 @@ are the bedrock for every Hilbert-function bound in the rest of the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb as binomial  # C(p, q), 0 for p < q; refuses negative or non-int
 
 MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes over all coefficients
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
+class _Value:
+    """First base of a tuple-backed value class, before its namedtuple: a value equals only a
+    value of its own class, not a bare tuple or another class's value with the same fields."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the inverse of __eq__; tuple's would compare the fields
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+class MacaulayRep(_Value, namedtuple("MacaulayRep", "coefficients")):
     """The decomposition a = C(b_d, d) + C(b_{d-1}, d-1) + ... + C(b_1, 1).
 
     Coefficients are stored largest index first and are strictly decreasing:
@@ -22,16 +33,17 @@ class MacaulayRep:
     and downstream arithmetic never special-cases short representations.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    def __new__(cls, coefficients: tuple[int, ...]) -> MacaulayRep:
+        if not coefficients:
             raise ValueError("need at least one coefficient")
-        for hi, lo in zip(self.coefficients, self.coefficients[1:]):
+        for hi, lo in zip(coefficients, coefficients[1:]):
             if hi <= lo:
                 raise ValueError("coefficients must be strictly decreasing")
-        if self.coefficients[-1] < 0:
+        if coefficients[-1] < 0:
             raise ValueError("coefficients must be non-negative")
+        return tuple.__new__(cls, (coefficients,))
 
     @property
     def degree(self) -> int:

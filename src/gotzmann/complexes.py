@@ -7,13 +7,12 @@ Stanley-Reisner complexes are refused while their faces are grown.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .combinatorics import binomial, kruskal_katona_pseudopower
+from .combinatorics import _Value, binomial, kruskal_katona_pseudopower
 from .monomials import Monomial, MonomialIdeal
 
 MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
@@ -49,33 +48,26 @@ def _extensions(family: frozenset[int], n: int, exclude: frozenset[int]) -> Iter
                 yield t
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A downward-closed set family on vertices 1..ground_size, stored as all of
-    its faces as vertex masks; the empty face 0 is always present."""
+class SimplicialComplex(_Value, namedtuple("SimplicialComplex", "ground_size faces")):
+    """A downward-closed set family on vertices 1..ground_size, stored as all of its faces as
+    vertex masks; the empty face 0 is always present.  Builders whose faces are closed and in
+    range by construction call _make, which skips the check of __new__."""
 
-    ground_size: int
-    faces: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
+    def __new__(cls, ground_size: int, faces: frozenset[int]) -> SimplicialComplex:
+        if ground_size < 1:
             raise ValueError("ground set must be non-empty")
-        if 0 not in self.faces:
+        if 0 not in faces:
             raise ValueError("complex must contain the empty face")
         # Closed under removing one vertex means downward closed, by induction.
-        for face in self.faces:
-            if not 0 <= face < 1 << self.ground_size:
-                raise ValueError(f"face mask {face} outside vertices 1..{self.ground_size}")
+        for face in faces:
+            if not 0 <= face < 1 << ground_size:
+                raise ValueError(f"face mask {face} outside vertices 1..{ground_size}")
             for b in _bits(face):
-                if face ^ b not in self.faces:
+                if face ^ b not in faces:
                     raise ValueError(f"face {_vertices(face)} lacks its subface without {b.bit_length()}")
-
-    @classmethod
-    def _closed(cls, ground_size: int, faces: frozenset[int]) -> SimplicialComplex:
-        """A complex whose builder made its faces closed and in range: no __post_init__."""
-        complex_ = object.__new__(cls)
-        complex_.__dict__.update(ground_size=ground_size, faces=faces)
-        return complex_
+        return tuple.__new__(cls, (ground_size, faces))
 
     @classmethod
     def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -99,7 +91,7 @@ class SimplicialComplex:
                 sub = (sub - 1) & face
             if len(closure) > MAX_COMPLEX_FACES:
                 raise ValueError(f"the closure of the faces has more than {MAX_COMPLEX_FACES} faces")
-        return cls._closed(ground_size, frozenset(closure))
+        return cls._make((ground_size, frozenset(closure)))
 
     @property
     def facets(self) -> frozenset[frozenset[int]]:
@@ -117,19 +109,22 @@ class SimplicialComplex:
         return _mask(vertices) in self.faces
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(_Value, namedtuple("FVector", "counts")):
     """Face counts (f_0, ..., f_dim); f_i counts faces on i + 1 vertices.
 
-    Trailing zeros are never stored, so every stored entry is positive.  The
-    empty tuple belongs to the complex with only the empty face.
+    Trailing zeros are never stored, so every stored entry is positive.  The empty tuple belongs
+    to the complex with only the empty face.  Iteration, len() and pickle run over the counts.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(c < 1 for c in self.counts):
+    def __new__(cls, counts: tuple[int, ...]) -> FVector:
+        if any(c < 1 for c in counts):
             raise ValueError("f-vector entries must be positive")
+        return tuple.__new__(cls, (counts,))
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...]]]:
+        return type(self), (self.counts,)
 
     def face_count(self, size: int) -> int:
         """Faces on exactly ``size`` vertices; 0 beyond the stored range.
@@ -178,7 +173,7 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces: vertex sets whose square-free product is not in the ideal."""
-    return SimplicialComplex._closed(ideal.ambient_vars, frozenset().union(*_face_levels(ideal)))
+    return SimplicialComplex._make((ideal.ambient_vars, frozenset().union(*_face_levels(ideal))))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
@@ -245,4 +240,4 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
     faces = {0}
     for i, f_i in enumerate(fv.counts):
         faces.update(islice(_colex_masks(i + 1), f_i))
-    return SimplicialComplex._closed(fv.counts[0], frozenset(faces))
+    return SimplicialComplex._make((fv.counts[0], frozenset(faces)))

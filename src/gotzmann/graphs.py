@@ -1,11 +1,11 @@
 """Simple graphs, edge ideals, star detection and dependent-set counts."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Iterable
 
-from .combinatorics import binomial
+from .combinatorics import _Value, binomial
 from .monomials import Monomial, MonomialIdeal, _cap
 
 
@@ -14,26 +14,25 @@ def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, n + 1), 2))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value, namedtuple("Graph", "vertex_count edges")):
     """Simple undirected graph on vertices 1..vertex_count.
 
     Isolated vertices matter: Hilbert functions of the edge ideal depend on
     the ambient variable count, so the vertex count is always explicit.
     """
 
-    vertex_count: int
-    edges: frozenset[frozenset[int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count: int, edges: frozenset[frozenset[int]]) -> Graph:
+        if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        for edge in self.edges:
+        for edge in edges:
             if len(edge) != 2:
                 raise ValueError("edges must join two distinct vertices")
             for v in edge:
-                if not 1 <= v <= self.vertex_count:
-                    raise ValueError(f"vertex {v} outside 1..{self.vertex_count}")
+                if not 1 <= v <= vertex_count:
+                    raise ValueError(f"vertex {v} outside 1..{vertex_count}")
+        return tuple.__new__(cls, (vertex_count, edges))
 
     @classmethod
     def from_edge_list(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Graph:

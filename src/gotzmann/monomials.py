@@ -7,28 +7,29 @@ every closed form elsewhere in the package is cross-checked against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import groupby, islice
 from operator import attrgetter, lshift
 from typing import Iterable, Iterator
 
-from .combinatorics import binomial
+from .combinatorics import _Value, binomial
 
 MAX_DEGREE_MONOMIALS = 1 << 20  # cap on the monomials one call lists: 10^7 tuples take about 1 GB
+MAX_HILBERT_BITS = 1 << 20  # cap on a bound on the bits of H(P, k); 315,653 digits print in about 2 s
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value, namedtuple("Monomial", "exponents")):
     """A monomial as its exponent vector; position i holds the exponent of x_{i+1}."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.exponents:
+    def __new__(cls, exponents: tuple[int, ...]) -> Monomial:
+        if not exponents:
             raise ValueError("monomial needs at least one variable slot")
-        if min(self.exponents) < 0:
+        if min(exponents) < 0:
             raise ValueError("exponents must be non-negative")
+        return tuple.__new__(cls, (exponents,))
 
     @classmethod
     def squarefree(cls, n: int, variables: Iterable[int]) -> Monomial:
@@ -82,8 +83,7 @@ def _minimal_generators(generators: Iterable[Monomial]) -> list[Monomial]:
     return kept
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value, namedtuple("MonomialIdeal", "ambient_vars generation_degree generators")):
     """A monomial ideal given by a minimal generating set.
 
     The ideals this package certifies are equigenerated (all generators of
@@ -91,28 +91,27 @@ class MonomialIdeal:
     explicitly for the zero ideal so the Gotzmann certifier knows which
     degrees to compare.  Mixed-degree square-free ideals (minimal non-faces
     of a complex, for instance) are allowed with generation_degree = None.
+    No __slots__: the instance __dict__ holds the cached is_squarefree.
     """
 
-    ambient_vars: int
-    generation_degree: int | None
-    generators: frozenset[Monomial]
-
-    def __post_init__(self) -> None:
-        if self.ambient_vars < 1:
+    def __new__(cls, ambient_vars: int, generation_degree: int | None,
+                generators: frozenset[Monomial]) -> MonomialIdeal:
+        if ambient_vars < 1:
             raise ValueError("need at least one ambient variable")
-        d = self.generation_degree
+        d = generation_degree
         if d is not None and d < 1:
             raise ValueError("generation degree must be positive")
-        for g in self.generators:
-            if len(g.exponents) != self.ambient_vars:
+        for g in generators:
+            if len(g.exponents) != ambient_vars:
                 raise ValueError("generator over wrong number of variables")
             if g.degree == 0:
                 raise ValueError("the unit monomial cannot be a generator")
             if d is not None and g.degree != d:
                 raise ValueError(f"generator {g} has degree {g.degree}, expected {d}")
         if d is None:  # distinct monomials of one degree never divide each other
-            if redundant := self.generators.difference(_minimal_generators(self.generators)):
+            if redundant := generators.difference(_minimal_generators(generators)):
                 raise ValueError(f"generator {min(map(str, redundant))} is redundant")
+        return tuple.__new__(cls, (ambient_vars, d, generators))
 
     @classmethod
     def from_generators(
@@ -155,11 +154,14 @@ class MonomialIdeal:
 
 
 def hilbert_ring(n: int, k: int) -> int:
-    """H(P, k) = C(n + k - 1, n - 1): all monomials of degree k in n variables."""
+    """H(P, k) = C(n + k - 1, n - 1): all monomials of degree k in n variables; ValueError when its
+    bit bound min(n - 1, k) * (n + k - 1).bit_length() (C(N, r) <= N^r) passes MAX_HILBERT_BITS."""
     if n < 1:
         raise ValueError("need at least one variable")
     if k < 0:
         raise ValueError("degree must be non-negative")
+    if (bits := min(n - 1, k) * (n + k - 1).bit_length()) > MAX_HILBERT_BITS:
+        raise ValueError(f"H(P, {k}) in {n} variables could have {bits} bits, more than {MAX_HILBERT_BITS}")
     return binomial(n + k - 1, n - 1)
 
 

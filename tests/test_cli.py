@@ -392,6 +392,8 @@ class TestExitCodes:
         (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], "100000\n1:1 2:1\n",
          "more than 1048576 monomials"),
         (["macaulay-rep", "0", str(10 ** 12)], None, "d must be in 1..10000000"),
+        (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], f"100000\n1:{10 ** 18}\n",
+         "could have 5999940 bits, more than 1048576"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

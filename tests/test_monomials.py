@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann import monomials
-from gotzmann.combinatorics import macaulay_pseudopower
+from gotzmann.combinatorics import binomial, macaulay_pseudopower
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
@@ -132,6 +132,24 @@ class TestHilbertRing:
                 assert hilbert_ring(n, k) == len(all_monomials(n, k))
         assert hilbert_ring(7, 2) == 28
         assert hilbert_ring(7, 3) == 84
+
+    def test_bit_bound(self):
+        # H(P, k) = C(N, r) <= N^r for N = n + k - 1 and r = min(n - 1, k), so for r >= 1 it has
+        # at most r * N.bit_length() bits; at r = 0 it is 1
+        for n in range(1, 61):
+            for k in range(61):
+                big, r = n + k - 1, min(n - 1, k)
+                assert hilbert_ring(n, k).bit_length() <= max(1, r * big.bit_length())
+
+    def test_both_sides_of_a_small_bit_cap(self, monkeypatch):
+        # with 20 bits allowed, N = n + k - 1 = 31 passes at r = 4 and N = 32 is refused
+        monkeypatch.setattr(monomials, "MAX_HILBERT_BITS", 20)
+        assert (hilbert_ring(5, 27), hilbert_ring(28, 4)) == (binomial(31, 4), binomial(31, 4))
+        for n, k in ((5, 28), (29, 4)):
+            with pytest.raises(ValueError, match=f"^H\\(P, {k}\\) in {n} variables could have 24 bits, more than 20$"):
+                hilbert_ring(n, k)
+        with pytest.raises(ValueError, match="more than 20$"):
+            hilbert_quotient(ideal(5, (1, 0, 0, 0, 0)), 28)
 
     def test_lex_descending_order(self):
         # two bits per exponent: x1^2 = 2, x1 * x2 = 1 + (1 << 2), x3^2 = 2 << 4

@@ -4,7 +4,9 @@ Every check in src/gotzmann raises an explicit exception, because `python -O`
 strips assert statements and a check that vanishes under -O checks nothing.
 No module-level function calls itself, since a recursion deep enough to reach
 Python's limit ends in RecursionError, not in a refusal.
-The package imports nothing but the standard library and itself.  Every name
+The package imports nothing but the standard library and itself, and a cold
+`import gotzmann` loads every library module but neither dataclasses nor
+inspect, which cost a CLI call more than the package itself.  Every name
 the README's library overview lists exists in the module of its row.  Every
 exception class the package raises by name is caught by an except clause of
 cli.main, so the CLI turns it into an exit code rather than a traceback.
@@ -12,6 +14,7 @@ cli.main, so the CLI turns it into an exit code rather than a traceback.
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "gotzmann").glob("*.py"))
+LIBRARY = {f"gotzmann.{path.stem}" for path in SOURCES} - {"gotzmann.__init__", "gotzmann.cli"}
 
 
 def assert_lines(source: str) -> list[int]:
@@ -76,6 +80,22 @@ def test_stdlib_only(path):
     assert not outside, f"{path.name} imports {sorted(outside)} from outside the standard library"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text()), f"{path.name} imports dataclasses"
+
+
+def test_cold_import():
+    # a fresh interpreter without site, as a CLI call starts; every library module loads at
+    # once, so no lazy attribute moves the cost of one into its first use
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import gotzmann; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert LIBRARY <= loaded
+
+
 def raised_names(source: str) -> set[str]:
     """The exception classes a module's source raises by name, as written: raise E(...) or raise m.E."""
     names = set()
@@ -130,13 +150,13 @@ def overview_rows(readme: str) -> list[tuple[str, list[str]]]:
 
 def missing_names(module: str, names: list[str]) -> list[str]:
     """The names that are neither a dotted attribute path of the module nor of a
-    class defined in it (a dataclass field counts as an attribute of its class)."""
+    class defined in it (a namedtuple field is an attribute of its class)."""
     mod = importlib.import_module(module)
     owners = [mod] + [v for v in vars(mod).values() if isinstance(v, type) and v.__module__ == module]
 
     def resolves(owner, name: str) -> bool:
         for part in name.split("."):
-            if not (hasattr(owner, part) or part in getattr(owner, "__dataclass_fields__", {})):
+            if not hasattr(owner, part):
                 return False
             owner = getattr(owner, part, None)
         return True
@@ -155,8 +175,7 @@ def test_name_checker():
 
 
 def test_overview_has_a_row_per_library_module():
-    library = {f"gotzmann.{path.stem}" for path in SOURCES} - {"gotzmann.__init__", "gotzmann.cli"}
-    assert {module for module, _ in OVERVIEW} == library
+    assert {module for module, _ in OVERVIEW} == LIBRARY
 
 
 @pytest.mark.parametrize("module, names", OVERVIEW, ids=[module for module, _ in OVERVIEW])
