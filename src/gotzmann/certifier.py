@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
@@ -104,34 +104,21 @@ class StarTheoremMismatch(AssertionError):
         self.graph = graph
 
 
-class VertexCountRecord(NamedTuple):
+class VertexCountRecord(_Value, namedtuple("VertexCountRecord", "n graphs stars gotzmann representatives seconds")):
     """Labeled counts on n vertices, the blocks checked and the seconds of their kernel call."""
 
-    n: int
-    graphs: int
-    stars: int
-    gotzmann: int
-    representatives: int
-    seconds: float
-
-    __eq__, __ne__, __hash__ = _Value.__eq__, _Value.__ne__, _Value.__hash__  # a NamedTuple has one base
+    __slots__ = ()
 
 
-class StarTheoremSummary(NamedTuple):
+class StarTheoremSummary(_Value, namedtuple(
+        "StarTheoremSummary", "max_vertices graphs_checked stars_found gotzmann_found mismatches "
+        "wall_time_seconds per_n", defaults=((),))):
     """Aggregated result of the exhaustive labeled-graph verification.  ``mismatches``
     is always 0, since every failure raises StarTheoremMismatch instead of being
     counted; it stays because ``--machine`` output and bench/ read it.  ``per_n`` holds
     one VertexCountRecord per vertex count."""
 
-    max_vertices: int
-    graphs_checked: int
-    stars_found: int
-    gotzmann_found: int
-    mismatches: int
-    wall_time_seconds: float
-    per_n: tuple[VertexCountRecord, ...] = ()
-
-    __eq__, __ne__, __hash__ = _Value.__eq__, _Value.__ne__, _Value.__hash__  # a NamedTuple has one base
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +179,7 @@ def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: C
     _subset_table of the low edges and of the others, the high edges."""
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
+    # 2^12 lanes: wider ints (all 15 free edges) ran slower, a deeper chain (fewer free edges) takes far more memory
     low, ring3 = free[:12], binomial(n + 2, 3)
     w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.

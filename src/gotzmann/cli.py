@@ -75,10 +75,10 @@ def _cmd_fvector(args) -> int:
         complex_ = fileformats.parse_complex(_read(args.complex))
     fv = complexes.f_vector(complex_)
     if args.machine:
-        for i, f in enumerate(fv):
+        for i, f in enumerate(fv.counts):
             print(f"f_{i}={f}")
     else:
-        print(" ".join(str(f) for f in fv))
+        print(" ".join(str(f) for f in fv.counts))
     return 0
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb as binomial  # C(p, q), 0 for p < q; refuses negative or non-int
+from typing import Iterator
 
 MAX_BASE_STEPS = 10 ** 7  # cap on the steps _largest_base takes over all coefficients
 
@@ -67,16 +68,13 @@ def _largest_base(a: int, i: int) -> int:
     return b
 
 
-def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """Greedy Macaulay representation of a at degree d.
-
-    b_d is the largest b with C(b, d) <= a; recurse on the remainder at
-    degree d - 1.  Strict decrease of the coefficients is automatic for the
-    greedy choice, but is checked anyway via the MacaulayRep invariants.
-    """
+def _greedy_terms(a: int, d: int) -> Iterator[tuple[int, int]]:
+    """The greedy pairs (b_i, i) of a at degree d, largest i first, up to the one leaving remainder
+    0: every later b_i is the forced i - 1, and C(i - 1, i) = C(i, i + 1) = C(i - 1, i + 1) = 0
+    adds nothing to a or to either pseudo-power."""
     if a < 0:
         raise ValueError("a must be non-negative")
-    if not 1 <= d <= MAX_BASE_STEPS:  # each of the d coefficients evaluates a binomial at least once
+    if not 1 <= d <= MAX_BASE_STEPS:  # macaulay_rep lists all d coefficients
         raise ValueError(f"d must be in 1..{MAX_BASE_STEPS}, not {d}")
     # b_i takes b_i - i + 1 steps, and b_i <= b_d - (d - i), so no coefficient
     # takes more than b_d's b_d - d + 1.  Capping b_d at cap = MAX_BASE_STEPS // d
@@ -87,14 +85,27 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         raise ValueError(
             f"a of {a.bit_length()} bits at d = {d} could take more than {MAX_BASE_STEPS} steps in total"
         )
-    coefficients = []
     remainder = a
     for i in range(d, 0, -1):
+        if not remainder:
+            return
         b = _largest_base(remainder, i)
-        coefficients.append(b)
+        yield b, i
         remainder -= binomial(b, i)
     if remainder != 0:
         raise ArithmeticError(f"greedy Macaulay remainder {remainder} is not zero")
+
+
+def macaulay_rep(a: int, d: int) -> MacaulayRep:
+    """Greedy Macaulay representation of a at degree d.
+
+    b_d is the largest b with C(b, d) <= a; recurse on the remainder at
+    degree d - 1, and once it is zero append the forced b_i = i - 1.  Strict
+    decrease of the coefficients is automatic for the greedy choice, but is
+    checked anyway via the MacaulayRep invariants.
+    """
+    coefficients = [b for b, _ in _greedy_terms(a, d)]
+    coefficients.extend(range(d - len(coefficients) - 1, -1, -1))
     return MacaulayRep(tuple(coefficients))
 
 
@@ -104,7 +115,7 @@ def macaulay_pseudopower(a: int, d: int) -> int:
     Upper-bounds the growth of quotient Hilbert functions from degree d to
     degree d + 1.
     """
-    return sum(binomial(b + 1, i + 1) for b, i in macaulay_rep(a, d).terms)
+    return sum(binomial(b + 1, i + 1) for b, i in _greedy_terms(a, d))
 
 
 def kruskal_katona_pseudopower(a: int, d: int) -> int:
@@ -112,4 +123,4 @@ def kruskal_katona_pseudopower(a: int, d: int) -> int:
 
     Upper-bounds the growth of f-vectors of simplicial complexes.
     """
-    return sum(binomial(b, i + 1) for b, i in macaulay_rep(a, d).terms)
+    return sum(binomial(b, i + 1) for b, i in _greedy_terms(a, d))

@@ -113,7 +113,7 @@ class FVector(_Value, namedtuple("FVector", "counts")):
     """Face counts (f_0, ..., f_dim); f_i counts faces on i + 1 vertices.
 
     Trailing zeros are never stored, so every stored entry is positive.  The empty tuple belongs
-    to the complex with only the empty face.  Iteration, len() and pickle run over the counts.
+    to the complex with only the empty face.
     """
 
     __slots__ = ()
@@ -122,9 +122,6 @@ class FVector(_Value, namedtuple("FVector", "counts")):
         if any(c < 1 for c in counts):
             raise ValueError("f-vector entries must be positive")
         return tuple.__new__(cls, (counts,))
-
-    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...]]]:
-        return type(self), (self.counts,)
 
     def face_count(self, size: int) -> int:
         """Faces on exactly ``size`` vertices; 0 beyond the stored range.
@@ -137,12 +134,6 @@ class FVector(_Value, namedtuple("FVector", "counts")):
         if size > len(self.counts):
             return 0
         return self.counts[size - 1]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:

@@ -8,7 +8,7 @@ every closed form elsewhere in the package is cross-checked against it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby, islice
 from operator import attrgetter, lshift
 from typing import Iterable, Iterator
@@ -91,8 +91,9 @@ class MonomialIdeal(_Value, namedtuple("MonomialIdeal", "ambient_vars generation
     explicitly for the zero ideal so the Gotzmann certifier knows which
     degrees to compare.  Mixed-degree square-free ideals (minimal non-faces
     of a complex, for instance) are allowed with generation_degree = None.
-    No __slots__: the instance __dict__ holds the cached is_squarefree.
     """
+
+    __slots__ = ()
 
     def __new__(cls, ambient_vars: int, generation_degree: int | None,
                 generators: frozenset[Monomial]) -> MonomialIdeal:
@@ -144,7 +145,7 @@ class MonomialIdeal(_Value, namedtuple("MonomialIdeal", "ambient_vars generation
     def is_equigenerated(self) -> bool:
         return self.generation_degree is not None
 
-    @cached_property
+    @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.generators)
 
@@ -192,16 +193,7 @@ def _cap(count: int, n: int, what: str) -> None:
 def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
     """All exponent vectors of degree j in n variables, lex-descending (x1 > ... > xn), each
     packed with fields of w bits; refused by _cap before any is listed."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    # C(n + j - 1, j) = C(m + k, k), built as C(m + i, i) for i = 1..k; each factor (m + i) / i
-    # is at least 2, so it passes the cap within about 21 steps, where it stops
-    k, m = sorted((j, n - 1))
-    count = i = 1
-    while i <= k and count <= MAX_DEGREE_MONOMIALS:
-        count = count * (m + i) // i
-        i += 1
-    _cap(count, n, f"degree {j} in {n} variables")
+    _cap(hilbert_ring(n, j), n, f"degree {j} in {n} variables")
     return tuple(_pack(e, w) for e in _lex_descending(n, j))
 
 

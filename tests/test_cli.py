@@ -36,11 +36,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv):
-    """The CLI in a child process whose address space is capped at 1 GiB, so that dense
-    allocation there ends in MemoryError rather than in the host running out of memory;
-    returns the exit code, the output, the errors and the child's wall time."""
-    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+def run_limited(*argv, limit=1 << 30):
+    """The CLI in a child process whose address space is capped at ``limit`` bytes, 1 GiB by
+    default, so that dense allocation there ends in MemoryError rather than in the host running
+    out of memory; returns the exit code, the output, the errors and the child's wall time."""
+    child = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
              "from gotzmann.cli import main; sys.exit(main(sys.argv[1:]))")
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
@@ -112,6 +112,14 @@ class TestPseudopower:
         code, out, err = run(capsys, "pseudopower", kind, "1000000000000", "1")
         assert (code, out) == (2, "")
         assert "steps" in err
+
+    @pytest.mark.parametrize("kind, value", [("--macaulay", "1"), ("--kk", "0")])
+    def test_work_stops_at_the_last_nonzero_term(self, kind, value):
+        # 1 = C(d, d): every later term is C(i - 1, i), which adds nothing, so the work must
+        # not grow with the d - 1 forced coefficients
+        code, out, err, seconds = run_limited("pseudopower", kind, "1", "3000000", limit=1 << 28)
+        assert (code, out) == (0, value + "\n"), err
+        assert seconds < 1.0
 
 
 class TestHilbert:
@@ -390,7 +398,7 @@ class TestExitCodes:
         (["gotzmann", "--ideal", "big"], "1000000000\n1:1\n", "exponents in all"),
         (["gotzmann", "--graph", "big"], "1000000000\n1 2\n", "exponents in all"),
         (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], "100000\n1:1 2:1\n",
-         "more than 1048576 monomials"),
+         "could have 5999940 bits, more than 1048576"),
         (["macaulay-rep", "0", str(10 ** 12)], None, "d must be in 1..10000000"),
         (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], f"100000\n1:{10 ** 18}\n",
          "could have 5999940 bits, more than 1048576"),

@@ -66,6 +66,14 @@ def test_value_contract(value, text):
     assert repr(value) == text
 
 
+@pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=[type(value).__name__ for value, _ in VALUES])
+def test_value_shape(value):
+    # one shape for every class: a _Value namedtuple with no instance dict, iterating its fields
+    assert _Value in type(value).__mro__ and tuple in type(value).__mro__
+    assert not hasattr(value, "__dict__")
+    assert tuple(value) == fields(value) and len(value) == len(value._fields)
+
+
 def test_classes_with_equal_fields_differ():
     assert MacaulayRep((3, 1)) != FVector((3, 1)) and FVector((3, 1)) != MacaulayRep((3, 1))
     assert Monomial((1, 0)) != ((1, 0),) and MacaulayRep((1, 0)) != Monomial((1, 0))
