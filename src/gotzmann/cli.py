@@ -99,8 +99,8 @@ def _print_report(report: certifier.GotzmannReport, machine: bool) -> None:
 
 
 def _cmd_gotzmann(args) -> int:
-    if args.ideal:
-        ideal = fileformats.parse_ideal(_read(args.ideal))
+    if args.ideal:  # certify lists the degree-1 monomials for each generator
+        ideal = fileformats.parse_ideal(_read(args.ideal), listed=1)
     else:
         g = fileformats.parse_graph(_read(args.graph))
         ideal = graphs.edge_ideal(g)

@@ -16,6 +16,7 @@ from .combinatorics import _Value, binomial, kruskal_katona_pseudopower
 from .monomials import Monomial, MonomialIdeal
 
 MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=MAX_COMPLEX_FACES)  # as many masks as one complex may hold
@@ -137,16 +138,25 @@ class FVector(_Value, namedtuple("FVector", "counts")):
 
 
 def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
-    """The Stanley-Reisner faces by size, from {∅} to the last size with any;
-    ValueError once there are more than MAX_COMPLEX_FACES of them."""
+    """The Stanley-Reisner faces by size, from {∅} to the last size with any; ValueError once
+    there are more than MAX_COMPLEX_FACES of them.  Every set smaller than the smallest support
+    s is a face, so the sizes up to s are counted, checked and then listed; those above grow."""
     if not ideal.is_squarefree:
         raise ValueError("ideal must be square-free")
+    n = ideal.ambient_vars
     supports = frozenset(_mask(g.support) for g in ideal.generators)
-    level, total = frozenset({0}), 1
+    s = min(map(int.bit_count, supports), default=n + 1)
+    total = -sum(t.bit_count() == s for t in supports)
+    for k in range(min(s, n) + 1):  # stops at the first size past the cap, however large s is
+        if (total := total + binomial(n, k)) > MAX_COMPLEX_FACES:
+            raise ValueError(f"Stanley-Reisner complex has more than {MAX_COMPLEX_FACES} faces")
+    *below, level = (frozenset(islice(_colex_masks(k), binomial(n, k))) for k in range(s + 1))
+    yield from below
+    level -= supports
     while level:
         yield level
         # A set whose one-vertex deletions are faces contains a support only if it is one.
-        grown = _extensions(level, ideal.ambient_vars, supports)
+        grown = _extensions(level, n, supports)
         level = frozenset(islice(grown, MAX_COMPLEX_FACES - total + 1))  # at most one past the cap
         total += len(level)
         if total > MAX_COMPLEX_FACES:
@@ -176,7 +186,9 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     arbitrary complex need not all have the same degree.
     """
     n, faces = complex_.ground_size, complex_.faces
-    return frozenset(Monomial.squarefree(n, _vertices(s)) for s in _extensions(faces, n, faces))
+    # exponent v - 1 is bit v - 1 of s: its n binary digits, reversed, as bytes 0 and 1
+    return frozenset(Monomial._make((tuple(f"{s:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)),))
+                     for s in _extensions(faces, n, faces))
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:

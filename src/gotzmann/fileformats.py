@@ -12,7 +12,7 @@ from itertools import compress
 
 from .complexes import SimplicialComplex
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal, _cap
+from .monomials import Monomial, MonomialIdeal, _cap, _cap_degree
 
 
 class InputFormatError(ValueError):
@@ -56,19 +56,22 @@ def _vertices(lineno: int, fields: list[str], n: int) -> list[int]:
     return vertices
 
 
-def parse_ideal(text: str) -> MonomialIdeal:
+def parse_ideal(text: str, listed: int | None = None) -> MonomialIdeal:
     """Parse an ideal file.
 
     Line 1 is the variable count n, optionally followed by the generation
     degree (needed only for the zero ideal).  Each following line is one
     generator as space-separated ``var:exp`` tokens, e.g. ``1:1 2:1`` for
-    x1*x2.
+    x1*x2.  A caller that will list the degree-``listed`` monomials for each
+    generator has a nonzero ideal refused by that listing's cap first.
     """
     (n, *degree), rest = _read(text, "variable count", "generation degree")
     declared_degree = degree[0] if degree else None
     _cap(len(rest), n, "the ideal file")  # before any dense exponent vector is built
+    if rest and listed is not None:  # and so is the caller's listing
+        _cap_degree(n, listed)
 
-    generators = []
+    exponents = set()
     for lineno, fields in rest:
         exps = [0] * n
         for token in fields:
@@ -84,14 +87,18 @@ def parse_ideal(text: str) -> MonomialIdeal:
             if exp < 1:
                 raise InputFormatError(f"line {lineno}: exponent must be positive in {token!r}")
             exps[var - 1] += exp
-        generators.append(Monomial(tuple(exps)))
+        exponents.add(tuple(exps))
 
-    if not generators and declared_degree is None:
+    if not exponents and declared_degree is None:
         raise InputFormatError(
             "line 1: zero ideal needs an explicit generation degree in the header"
         )
+    degrees = set(map(sum, exponents))
+    if len(degrees) == 1 and declared_degree in {None, *degrees}:
+        # positive exponents, n slots, one positive degree: distinct, so minimal
+        return MonomialIdeal._make((n, *degrees, frozenset(Monomial._make((e,)) for e in exponents)))
     try:
-        return MonomialIdeal.from_generators(n, generators, degree=declared_degree)
+        return MonomialIdeal.from_generators(n, map(Monomial, exponents), degree=declared_degree)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 

@@ -86,7 +86,7 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
     """
     n = g.vertex_count
     _cap(g.edge_count, n, "the edge ideal")  # before any dense exponent vector is built
-    return MonomialIdeal(n, 2, frozenset(Monomial.squarefree(n, e) for e in g.edges))
+    return MonomialIdeal._make((n, 2, frozenset(Monomial.squarefree(n, e) for e in g.edges)))
 
 
 def is_star(g: Graph) -> bool:

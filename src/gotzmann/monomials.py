@@ -49,7 +49,7 @@ class Monomial(_Value, namedtuple("Monomial", "exponents")):
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        return max(self.exponents) <= 1
 
     @property
     def support(self) -> frozenset[int]:
@@ -91,6 +91,7 @@ class MonomialIdeal(_Value, namedtuple("MonomialIdeal", "ambient_vars generation
     explicitly for the zero ideal so the Gotzmann certifier knows which
     degrees to compare.  Mixed-degree square-free ideals (minimal non-faces
     of a complex, for instance) are allowed with generation_degree = None.
+    Builders of ideals valid by construction call _make, which skips the checks of __new__.
     """
 
     __slots__ = ()
@@ -189,11 +190,16 @@ def _cap(count: int, n: int, what: str) -> None:
                          f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
 
 
+def _cap_degree(n: int, j: int) -> None:
+    """Refuse, by _cap, to list the monomials of degree j in n variables."""
+    _cap(hilbert_ring(n, j), n, f"degree {j} in {n} variables")
+
+
 @lru_cache(maxsize=None)
 def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
     """All exponent vectors of degree j in n variables, lex-descending (x1 > ... > xn), each
-    packed with fields of w bits; refused by _cap before any is listed."""
-    _cap(hilbert_ring(n, j), n, f"degree {j} in {n} variables")
+    packed with fields of w bits; refused by _cap_degree before any is listed."""
+    _cap_degree(n, j)
     return tuple(_pack(e, w) for e in _lex_descending(n, j))
 
 
@@ -237,13 +243,13 @@ def _lex_descending(n: int, d: int) -> Iterator[tuple[int, ...]]:
 def lex_segment_ideal(n: int, d: int, count: int) -> MonomialIdeal:
     """Ideal generated by the first ``count`` degree-d monomials in lex order, listed no
     further; the cap is applied to those ``count``, so its work does not depend on d."""
-    if n < 1 or d < 0 or count < 0:
-        raise ValueError(f"need n >= 1, d >= 0 and count >= 0, not {n}, {d} and {count}")
+    if n < 1 or d < 1 or count < 0:
+        raise ValueError(f"need n >= 1, d >= 1 and count >= 0, not {n}, {d} and {count}")
     _cap(count, n, f"the lex segment of degree {d} in {n} variables")
     gens = [Monomial(e) for e in islice(_lex_descending(n, d), count)]
     if len(gens) < count:  # the listing ran out: len(gens) is all C(n + d - 1, d) of them
         raise ValueError(f"segment size {count} out of range 0..{len(gens)} for n={n}, d={d}")
-    return MonomialIdeal(n, d, frozenset(gens))  # distinct, of one degree: minimal
+    return MonomialIdeal._make((n, d, frozenset(gens)))  # distinct, of one degree d >= 1: minimal
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:

@@ -264,6 +264,17 @@ class TestGotzmann:
         assert (code, out) == (2, "")
         assert "exponents in all" in err
 
+    def test_degree_one_cap_is_the_certifiers_alone(self, capsys, write):
+        # certify would list 4,097 linear monomials of 4,097 exponents for each generator, so
+        # the file is refused unread; hilbert at degree 1 lists nothing and accepts it
+        path = write("wide.ideal", "4097\n1:1 2:1\n")
+        code, out, err = run(capsys, "gotzmann", "--ideal", path)
+        assert (code, out) == (2, "")
+        assert err == ("error: degree 1 in 4097 variables has 4097 monomials of 4097 exponents, "
+                       "more than 16777216 exponents in all\n")
+        code, out, _ = run(capsys, "hilbert", "--ideal", path, "--degree", "1", "--machine")
+        assert (code, out) == (0, "degree=1\nh_ring=4097\nh_ideal=0\nh_quotient=4097\n")
+
     def test_human_shows_bound_next_to_value(self, capsys, write):
         path = write("star.graph", STAR7_GRAPH)
         code, out, _ = run(capsys, "gotzmann", "--graph", path)
@@ -402,6 +413,8 @@ class TestExitCodes:
         (["macaulay-rep", "0", str(10 ** 12)], None, "d must be in 1..10000000"),
         (["hilbert", "--ideal", "big", "--degree", str(10 ** 18)], f"100000\n1:{10 ** 18}\n",
          "could have 5999940 bits, more than 1048576"),
+        (["gotzmann", "--ideal", "big"], "4000000\n" + "".join(f"{v}:1 {v + 1}:1\n" for v in (1, 3, 5, 7)),
+         "degree 1 in 4000000 variables has more than 1048576 monomials"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

@@ -187,6 +187,16 @@ class TestStanleyReisner:
         with pytest.raises(ValueError, match="faces"):
             stanley_reisner_complex(wide)
 
+    def test_face_cap_refuses_before_listing(self, monkeypatch):
+        # C(5000, 2) - 1, about 12.5 million, sets of size 2 are faces: refused from the count
+        for name in ("_colex_masks", "_extensions"):
+            monkeypatch.setattr(complexes, name, lambda *args: pytest.fail("listed before the cap check"))
+        wide = sf_ideal(5000, (1, 2))
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {MAX_COMPLEX_FACES} faces"):
+            stanley_reisner_complex(wide)
+        assert time.perf_counter() - started < 0.5
+
     def test_whole_ground_set_in_ideal(self):
         # the ideal of all variables leaves only the empty face
         c = stanley_reisner_complex(sf_ideal(2, (1,), (2,)))
