@@ -1,22 +1,22 @@
 """Simplicial complexes, the Stanley-Reisner correspondence and f-vectors.
 
-A complex is stored as its full face set of int vertex masks (bit v - 1 is
-vertex v, so colex order of k-subsets is numeric order), with at most
-MAX_COMPLEX_FACES faces: from_faces refuses faces whose subsets pass it, and
-Stanley-Reisner complexes are refused while their faces are grown.
+A complex is stored as its full face set of int vertex masks (bit v - 1 is vertex v, so colex
+order of k-subsets is numeric order), with at most MAX_COMPLEX_FACES faces: from_faces refuses
+faces whose subsets pass it.  Stanley-Reisner faces are read off one 2^n-bit indicator when all
+2^n vertex sets fit under the cap, and are otherwise grown size by size and refused past it.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, reduce
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _listed
 
 MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_SWAP_DIGITS = bytes.maketrans(b"01\0\1", b"\0\1" b"01")  # the digits 0 and 1 <-> the bytes 0 and 1
 
 
 @lru_cache(maxsize=MAX_COMPLEX_FACES)  # as many masks as one complex may hold
@@ -36,6 +36,21 @@ def _mask(vertices: Iterable[int]) -> int:
 
 def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(b.bit_length() for b in _bits(mask))
+
+
+def _supports(ideal: MonomialIdeal) -> frozenset[int]:
+    """The generators' vertex masks, each read off its exponents; ValueError unless square-free."""
+    if not ideal.is_squarefree:
+        raise ValueError("ideal must be square-free")
+    return frozenset(int(bytes(g.exponents[::-1]).translate(_SWAP_DIGITS), 2) for g in ideal.generators)
+
+
+@lru_cache(maxsize=MAX_COMPLEX_FACES.bit_length())  # one entry per n with 2^n within the cap
+def _holders(n: int) -> dict[int, int]:
+    """Vertex bit b = 1 << v -> the 2^n-bit indicator of the sets s with s & b (2^v zeros, then 2^v
+    ones, repeated by one geometric-sum division); key 0 -> the indicator of all 2^n sets."""
+    full = (1 << (1 << n)) - 1
+    return {0: full} | {1 << v: full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v)) for v in range(n)}
 
 
 def _extensions(family: frozenset[int], n: int, exclude: frozenset[int]) -> Iterator[int]:
@@ -141,10 +156,8 @@ def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     """The Stanley-Reisner faces by size, from {∅} to the last size with any; ValueError once
     there are more than MAX_COMPLEX_FACES of them.  Every set smaller than the smallest support
     s is a face, so the sizes up to s are counted, checked and then listed; those above grow."""
-    if not ideal.is_squarefree:
-        raise ValueError("ideal must be square-free")
+    supports = _supports(ideal)
     n = ideal.ambient_vars
-    supports = frozenset(_mask(g.support) for g in ideal.generators)
     s = min(map(int.bit_count, supports), default=n + 1)
     total = -sum(t.bit_count() == s for t in supports)
     for k in range(min(s, n) + 1):  # stops at the first size past the cap, however large s is
@@ -173,22 +186,25 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Faces: vertex sets whose square-free product is not in the ideal."""
-    return SimplicialComplex._make((ideal.ambient_vars, frozenset().union(*_face_levels(ideal))))
+    """Faces: vertex sets whose square-free product is not in the ideal: the bits outside the OR over
+    the generators of the AND of their vertices' _holders, or the _face_levels once 2^n passes the cap."""
+    n = ideal.ambient_vars
+    if 1 << n > MAX_COMPLEX_FACES:
+        return SimplicialComplex._make((n, frozenset().union(*_face_levels(ideal))))
+    holders = _holders(n)
+    above = (reduce(int.__and__, map(holders.__getitem__, _bits(m)), holders[0]) for m in _supports(ideal))
+    faces = f"{holders[0] ^ reduce(int.__or__, above, 0):0{1 << n}b}"[::-1].encode().translate(_SWAP_DIGITS)
+    return SimplicialComplex._make((n, frozenset(compress(range(1 << n), faces))))  # bit s set: s is a face
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
-    """Minimal non-faces, as square-free monomials.
-
-    A non-face is minimal exactly when removing any one vertex gives a face,
-    so these are the extensions of the faces that are not faces.  Returned
-    as a raw generator set, not a MonomialIdeal: the minimal non-faces of an
-    arbitrary complex need not all have the same degree.
-    """
+    """Minimal non-faces, as square-free monomials: the extensions of the faces that are not faces,
+    as a non-face is minimal when each one-vertex deletion is a face.  A raw generator set, not a
+    MonomialIdeal, as their degrees may differ; ValueError, by _listed, past monomials._cap."""
     n, faces = complex_.ground_size, complex_.faces
+    masks = _listed(_extensions(faces, n, faces), n, "the list of minimal non-faces so far")
     # exponent v - 1 is bit v - 1 of s: its n binary digits, reversed, as bytes 0 and 1
-    return frozenset(Monomial._make((tuple(f"{s:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)),))
-                     for s in _extensions(faces, n, faces))
+    return frozenset(Monomial._make((tuple(f"{s:0{n}b}"[::-1].encode().translate(_SWAP_DIGITS)),)) for s in masks)
 
 
 def f_vector(complex_: SimplicialComplex) -> FVector:

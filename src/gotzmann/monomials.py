@@ -190,6 +190,13 @@ def _cap(count: int, n: int, what: str) -> None:
                          f"more than {16 * MAX_DEGREE_MONOMIALS} exponents in all")
 
 
+def _listed(items: Iterable[int], n: int, what: str) -> list[int]:
+    """The items, to be monomials over n variables, refused by _cap before one past its exponent bound."""
+    listed = list(islice(items, 16 * MAX_DEGREE_MONOMIALS // n + 1))
+    _cap(len(listed), n, what)
+    return listed
+
+
 def _cap_degree(n: int, j: int) -> None:
     """Refuse, by _cap, to list the monomials of degree j in n variables."""
     _cap(hilbert_ring(n, j), n, f"degree {j} in {n} variables")

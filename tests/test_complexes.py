@@ -197,6 +197,27 @@ class TestStanleyReisner:
             stanley_reisner_complex(wide)
         assert time.perf_counter() - started < 0.5
 
+    @pytest.mark.parametrize("n", [2, 17])  # the indicator's side of the face cap, and the levels'
+    def test_non_squarefree_refused_on_both_paths(self, n):
+        cube = MonomialIdeal.from_generators(n, [Monomial((300,) + (0,) * (n - 1))])
+        with pytest.raises(ValueError, match="ideal must be square-free"):
+            stanley_reisner_complex(cube)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_indicator_matches_face_levels(self, data):
+        i = random_squarefree_ideals(max_n=10)(data)
+        assert 1 << i.ambient_vars <= MAX_COMPLEX_FACES
+        assert stanley_reisner_complex(i).faces == frozenset().union(*complexes._face_levels(i))
+
+    def test_zero_ideal_at_the_cap_and_past_it(self, monkeypatch):
+        # 2^16 sets fit under the cap and are read off the indicator; 2^17 are refused from the count
+        for name in ("_colex_masks", "_extensions"):
+            monkeypatch.setattr(complexes, name, lambda *args: pytest.fail("listed or grown"))
+        assert len(stanley_reisner_complex(MonomialIdeal.from_generators(16, [], degree=2)).faces) == 65_536
+        with pytest.raises(ValueError, match="more than 65536 faces"):
+            stanley_reisner_complex(MonomialIdeal.from_generators(17, [], degree=2))
+
     def test_whole_ground_set_in_ideal(self):
         # the ideal of all variables leaves only the empty face
         c = stanley_reisner_complex(sf_ideal(2, (1,), (2,)))
@@ -225,6 +246,15 @@ def test_benchmark_sized_round_trip(ideal):
     assert ideal_of_complex(c) == ideal.generators
 
 
+@pytest.mark.parametrize("ideal", benchmark_sized_ideals())
+def test_benchmark_sized_faces_without_growing(ideal, monkeypatch):
+    # at 8-11 variables every face is read off the indicator: no level is listed or grown
+    for name in ("_colex_masks", "_extensions"):
+        monkeypatch.setattr(complexes, name, lambda *args: pytest.fail("faces listed or grown"))
+    expected = stanley_reisner_faces(ideal.ambient_vars, [g.support for g in ideal.generators])
+    assert stanley_reisner_complex(ideal).faces == set(map(vertex_mask, expected))
+
+
 class TestIdealOfComplex:
     def test_paper_example_round_trip(self):
         c = stanley_reisner_complex(PAPER_EXAMPLE)
@@ -237,6 +267,19 @@ class TestIdealOfComplex:
     def test_two_points(self):
         c = SimplicialComplex.from_faces(2, [{1}, {2}])
         assert ideal_of_complex(c) == frozenset({Monomial((1, 1))})
+
+    def test_wide_listing_refused_before_it_is_built(self):
+        # 99,999 minimal non-faces of 10^5 exponents each: refused after 168 masks, before any tuple
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="minimal non-faces"):
+            ideal_of_complex(SimplicialComplex.from_faces(10**5, [[1]]))
+        assert time.perf_counter() - started < 2
+
+    def test_wide_listing_under_the_cap(self):
+        # 2,999 monomials of 3,000 exponents: about 9 million, under the 16 * 2^20 cap
+        generators = ideal_of_complex(SimplicialComplex.from_faces(3000, [[1]]))
+        assert len(generators) == 2999
+        assert Monomial.squarefree(3000, [2]) in generators
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
