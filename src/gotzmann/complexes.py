@@ -189,7 +189,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces: vertex sets whose square-free product is not in the ideal: the bits outside the OR over
     the generators of the AND of their vertices' _holders, or the _face_levels once 2^n passes the cap."""
     n = ideal.ambient_vars
-    if 1 << n > MAX_COMPLEX_FACES:
+    if n >= MAX_COMPLEX_FACES.bit_length():  # 2^n > the cap, read off n so no 2^n-bit int is built
         return SimplicialComplex._make((n, frozenset().union(*_face_levels(ideal))))
     holders = _holders(n)
     above = (reduce(int.__and__, map(holders.__getitem__, _bits(m)), holders[0]) for m in _supports(ideal))

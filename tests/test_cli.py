@@ -415,6 +415,7 @@ class TestExitCodes:
          "could have 5999940 bits, more than 1048576"),
         (["gotzmann", "--ideal", "big"], "4000000\n" + "".join(f"{v}:1 {v + 1}:1\n" for v in (1, 3, 5, 7)),
          "degree 1 in 4000000 variables has more than 1048576 monomials"),
+        (["fvector", "--ideal", "big"], "10000000000 2\n", "more than 65536 faces"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of
