@@ -124,12 +124,12 @@ class StarTheoremSummary(_Value, namedtuple(
 @lru_cache(maxsize=None)
 def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a bitset,
-    bit i for monomial i of packed_monomials(n, 3, w), and its vertex mask; and the
-    bitset of the square-free cubics, which are the 3-subsets."""
+    bit i for monomial i of packed_monomials(n, 3, w), and its vertex mask (bit v - 1 for
+    vertex v); and the bitset of the square-free cubics, which are the 3-subsets."""
     w, high = packing(n, 3)
     bits = {m: 1 << i for i, m in enumerate(packed_monomials(n, 3, w))}
     edges = tuple((sum(bits[m] for m in degree_part(edge_ideal(Graph.from_edge_list(n, [p])), 3)),
-                   sum(1 << v for v in p)) for p in edge_pairs(n))
+                   sum(1 << v - 1 for v in p)) for p in edge_pairs(n))
     return edges, sum(bit for m, bit in bits.items() if not m & high)
 
 
@@ -175,7 +175,7 @@ def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: C
     owns the w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1
     in each field; per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing
     some degree-3 monomials, (those monomials as a bitset, a 1 in each lane holding one of the
-    edges); per vertex v, (1 << v, the guard bits of the lanes whose edges all hold v); and the
+    edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose edges all hold v); and the
     _subset_table of the low edges and of the others, the high edges."""
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
@@ -184,7 +184,7 @@ def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: C
     w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
     ones, mac = 1, [min(max(macaulay, 0), ring3 + 1) for macaulay, _ in bounds]
-    planes, stars = [(reduce(or_, (multiples for multiples, _ in low), 0), 0)], [1] * (n + 1)
+    planes, stars = [(reduce(or_, (multiples for multiples, _ in low), 0), 0)], [1] * n
     for k, (multiples, vertices) in enumerate(low):  # lanes 2^k..2^(k+1)-1 add low edge k
         width, holders = w << k, ones << (w << k)
         mac = [a | b << width for a, b in zip(mac, mac[1:])]
@@ -192,7 +192,7 @@ def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: C
                                                          (group & multiples, p | p << width | holders)) if part[0]]
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
-    stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars) if v)
+    stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars))
     return bounds, w, ones, tuple(mac), tuple(planes), stars, _subset_table(low), _subset_table(free[12:])
 
 

@@ -2,8 +2,9 @@
 
 A complex is stored as its full face set of int vertex masks (bit v - 1 is vertex v, so colex
 order of k-subsets is numeric order), with at most MAX_COMPLEX_FACES faces: from_faces refuses
-faces whose subsets pass it.  Stanley-Reisner faces are read off one 2^n-bit indicator when all
-2^n vertex sets fit under the cap, and are otherwise grown size by size and refused past it.
+faces whose subsets pass it, and compressed_complex an f-vector whose faces do.  Stanley-Reisner
+faces are read off one 2^n-bit indicator when all 2^n vertex sets fit under the cap, and are
+otherwise grown size by size and refused past it.
 """
 from __future__ import annotations
 
@@ -111,10 +112,9 @@ class SimplicialComplex(_Value, namedtuple("SimplicialComplex", "ground_size fac
 
     @property
     def facets(self) -> frozenset[frozenset[int]]:
-        """The faces contained in no other face."""
-        up = {b for f in self.faces for b in _bits(f)}  # only a vertex of a face extends one
-        maximal = (f for f in self.faces if self.faces.isdisjoint(f | b for b in up if not f & b))
-        return frozenset(map(frozenset, map(_vertices, maximal)))
+        """The faces in no other face: in a downward-closed complex, those that are no face less one vertex."""
+        covered = {f ^ b for f in self.faces for b in _bits(f)}
+        return frozenset(map(frozenset, map(_vertices, self.faces - covered)))
 
     @property
     def dimension(self) -> int:
@@ -256,6 +256,8 @@ def compressed_complex(fv: FVector) -> SimplicialComplex:
         raise ValueError("not a valid f-vector")
     if not fv.counts:
         raise ValueError("empty f-vector has no compressed complex")
+    if (total := 1 + sum(fv.counts)) > MAX_COMPLEX_FACES:
+        raise ValueError(f"the compressed complex has {total} faces, more than {MAX_COMPLEX_FACES} faces")
     faces = {0}
     for i, f_i in enumerate(fv.counts):
         faces.update(islice(_colex_masks(i + 1), f_i))

@@ -90,13 +90,12 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def is_star(g: Graph) -> bool:
-    """True iff some vertex has degree equal to the number of edges.
+    """True iff one vertex lies on every edge: the edges have a common vertex.
 
-    Read literally this makes the edgeless graph a star (degree 0 = 0 edges)
+    Read literally this makes the edgeless graph a star (no edge to miss a vertex)
     and every single-edge graph a star; the theorem verifier relies on both.
     """
-    e = g.edge_count
-    return any(g.degree(v) == e for v in range(1, g.vertex_count + 1))
+    return not g.edges or bool(frozenset.intersection(*g.edges))
 
 
 def count_dependent_triples(g: Graph) -> int:

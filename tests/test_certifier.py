@@ -13,6 +13,7 @@ from gotzmann.certifier import (
     _edge_tables,
     _representatives,
     _subset_table,
+    _tables,
     certify,
     check_edge_bound,
     gotzmann_value_deg2,
@@ -27,7 +28,7 @@ from gotzmann.monomials import (
     hilbert_quotient,
     lex_segment_ideal,
 )
-from oracles import all_monomials, stanley_reisner_faces
+from oracles import all_monomials, stanley_reisner_faces, vertex_mask
 
 STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
 TRIANGLE = Graph.from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
@@ -149,6 +150,10 @@ class TestDegreeTwoClosedForm:
 
     def test_path_value(self):
         assert gotzmann_value_deg2(3, 2) == 5
+
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            gotzmann_value_deg2(0, 0)
 
     def test_lemma_hypothesis_enforced(self):
         with pytest.raises(ValueError):
@@ -455,6 +460,19 @@ class TestCheckBlock:
 
 
 class TestSubsetTable:
+    def test_vertex_v_is_bit_v_minus_1(self):
+        # as in complexes: the edges' vertex masks and the keys of the star lanes, each lane's
+        # guard bit set for vertex v when every low edge of the lane holds v
+        n = 5
+        edges, _ = _edge_tables(n)
+        pairs = edge_pairs(n)
+        assert [vertices for _, vertices in edges] == list(map(vertex_mask, pairs))
+        _, w, _, _, _, stars, _, _ = _tables(n, edges, macaulay_pseudopower, kruskal_katona_pseudopower)
+        assert stars == tuple(
+            (vertex_mask({v}), sum(1 << lane * w + w - 1 for lane in range(1 << len(pairs))
+                                   if all(v in pairs[i] for i in range(len(pairs)) if lane >> i & 1)))
+            for v in range(1, n + 1))
+
     def test_entries_equal_a_direct_or_and(self):
         for n in range(1, 6):
             edges, _ = _edge_tables(n)

@@ -12,6 +12,8 @@ import pytest
 from gotzmann import certifier
 from gotzmann.cli import _build_parser, main
 from gotzmann.combinatorics import binomial
+from gotzmann.fileformats import format_ideal
+from gotzmann.monomials import lex_segment_ideal
 from oracles import all_monomials
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
@@ -416,6 +418,8 @@ class TestExitCodes:
         (["gotzmann", "--ideal", "big"], "4000000\n" + "".join(f"{v}:1 {v + 1}:1\n" for v in (1, 3, 5, 7)),
          "degree 1 in 4000000 variables has more than 1048576 monomials"),
         (["fvector", "--ideal", "big"], "10000000000 2\n", "more than 65536 faces"),
+        pytest.param(["hilbert", "--ideal", "big", "--degree", "12"], format_ideal(lex_segment_ideal(16, 6, 500)),
+                     "I_12 has 27132000 products g * m, more than 16777216", id="products of lex-ideal 16 6 500"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

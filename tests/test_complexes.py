@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotzmann import complexes
@@ -89,6 +89,26 @@ class TestSimplicialComplex:
     def test_from_faces_extracts_maximal(self):
         c = SimplicialComplex.from_faces(3, [{1}, {1, 2}, {3}])
         assert c.facets == frozenset({frozenset({1, 2}), frozenset({3})})
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.frozensets(st.integers(1, n), max_size=n), max_size=6))))
+    @example((3, []))  # {∅}: its one facet is the empty face
+    @settings(max_examples=150, deadline=None)
+    def test_facets_match_oracle(self, drawn):
+        n, facets = drawn
+        c = SimplicialComplex.from_faces(n, facets)
+        faces = [frozenset(v for v in range(1, n + 1) if f >> v - 1 & 1) for f in c.faces]
+        assert c.facets == minimal_under(faces, frozenset.__ge__)
+
+    def test_facets_of_many_points_at_once(self):
+        c = SimplicialComplex.from_faces(2000, [[v] for v in range(1, 2001)])
+        started = time.perf_counter()
+        assert c.facets == frozenset(frozenset({v}) for v in range(1, 2001))
+        assert time.perf_counter() - started < 0.1
+
+    def test_empty_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="ground set must be non-empty"):
+            SimplicialComplex(0, frozenset({0}))
 
     def test_vertex_range_checked(self):
         with pytest.raises(ValueError):
@@ -352,6 +372,10 @@ class TestHilbertStanleyReisner:
     def test_degree_one_counts_vertices(self):
         assert hilbert_stanley_reisner(FVector((4, 5, 1)), 1) == 4
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            hilbert_stanley_reisner(FVector((4, 5, 1)), -1)
+
     @given(st.data(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_enumeration(self, data, k):
@@ -422,6 +446,19 @@ class TestCompressedComplex:
             compressed_complex(FVector((3, 3, 2)))
         with pytest.raises(ValueError, match="empty f-vector"):
             compressed_complex(FVector(()))
+
+    def test_face_cap_refuses_before_listing(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has 1000001 faces, more than {MAX_COMPLEX_FACES} faces"):
+            compressed_complex(FVector((10 ** 6,)))
+        assert time.perf_counter() - started < 0.5
+
+    def test_face_cap_both_sides(self, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_COMPLEX_FACES", 16)
+        assert len(compressed_complex(FVector((4, 6, 4, 1))).faces) == 16
+        assert len(compressed_complex(FVector((15,))).faces) == 16
+        with pytest.raises(ValueError, match="has 17 faces, more than 16 faces"):
+            compressed_complex(FVector((16,)))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

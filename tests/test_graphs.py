@@ -1,4 +1,7 @@
 """Tests for graphs, edge ideals and the dependent-set counting formulas."""
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +51,10 @@ class TestGraph:
         assert g.sorted_edges() == sorted([pairs[0], pairs[2]])
         with pytest.raises(ValueError):
             Graph.from_edge_mask(4, 1 << 6)
+
+    def test_deleting_every_vertex_rejected(self):
+        with pytest.raises(ValueError, match="cannot delete every vertex"):
+            TRIANGLE.delete_vertices({1, 2, 3})
 
     def test_degree_and_neighbors(self):
         assert STAR7.degree(1) == 5
@@ -105,6 +112,20 @@ class TestIsStar:
         assert is_star(Graph.from_edge_list(3, []))
         assert is_star(Graph.from_edge_list(4, [(2, 3)]))
 
+    def test_some_vertex_on_every_edge_for_every_small_graph(self):
+        # all 33,867 labeled graphs on 1..6 vertices, against the literal rule: some vertex has degree e
+        for n in range(1, 7):
+            for mask in range(1 << binomial(n, 2)):
+                g = Graph.from_edge_mask(n, mask)
+                degrees = Counter(v for e in g.edges for v in e)
+                assert is_star(g) == any(degrees[v] == len(g.edges) for v in range(1, n + 1)), (n, mask)
+
+    def test_long_path_at_once(self):
+        path = Graph.from_edge_list(3000, [(v, v + 1) for v in range(1, 3000)])
+        started = time.perf_counter()
+        assert not is_star(path)
+        assert time.perf_counter() - started < 0.01
+
 
 class TestDependentTriples:
     def test_triangle(self):
@@ -125,6 +146,10 @@ class TestDependentTriples:
         # vertices form an edge
         assert dependent_triples_through(STAR7, 7) == 5
         assert dependent_triples_through_closed_form(STAR7, 7) == 5
+
+    def test_through_vertex_outside_the_graph(self):
+        with pytest.raises(ValueError, match=r"vertex 0 outside 1\.\.3"):
+            dependent_triples_through(TRIANGLE, 0)
 
     def test_through_triangle_vertex(self):
         for v in (1, 2, 3):

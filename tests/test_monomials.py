@@ -67,6 +67,28 @@ class TestMonomial:
     def test_str(self):
         assert str(Monomial((2, 1, 0))) == "x1^2*x2"
 
+    def test_str_of_the_unit(self):
+        assert str(Monomial((0, 0))) == "1"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Monomial(()), "monomial needs at least one variable slot"),
+    (lambda: Monomial((1, -1)), "exponents must be non-negative"),
+    (lambda: Monomial((1, 0)).divides(Monomial((1, 0, 0))), "monomials live over different variable counts"),
+    (lambda: MonomialIdeal(0, 1, frozenset()), "need at least one ambient variable"),
+    (lambda: MonomialIdeal(2, 0, frozenset()), "generation degree must be positive"),
+    (lambda: MonomialIdeal(2, None, frozenset({Monomial((0, 0))})), "the unit monomial cannot be a generator"),
+    (lambda: MonomialIdeal(2, 2, frozenset({Monomial((1, 0))})), "generator x1 has degree 1, expected 2"),
+    (lambda: hilbert_ring(0, 1), "need at least one variable$"),
+    (lambda: hilbert_ring(2, -1), "degree must be non-negative"),
+    (lambda: degree_part(PAPER_EXAMPLE, -1), "degree must be non-negative"),
+], ids=["no variables", "negative exponent", "divides across variable counts", "ideal without variables",
+        "generation degree 0", "unit generator", "generator of the wrong degree", "ring without variables",
+        "ring in negative degree", "degree part in negative degree"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
 
 def exponent_lists(max_size):
     """A variable count n <= 4 and non-zero exponent vectors over n variables, of mixed degrees."""
@@ -184,6 +206,28 @@ class TestHilbertRing:
 
 
 class TestHilbertIdeal:
+    @pytest.mark.parametrize("cap, n, k, exponents, message", [
+        # 16 quintics times the 3 linear monomials fill the 16 * 3 = 48 products of I_6; 17 pass them
+        (3, 3, 6, all_monomials(3, 5)[:17], "I_6 has 51 products"),
+        # x1^39 times the 2 linear monomials and 30 generators of degree 40 fill 16 * 2 = 32; 31 pass them
+        (2, 2, 40, [(39, 0)] + [(a, 40 - a) for a in range(31)], "I_40 has 33 products"),
+    ], ids=["one degree", "two degrees"])
+    def test_product_cap_both_sides(self, monkeypatch, cap, n, k, exponents, message):
+        *under, last = map(Monomial, exponents)
+        expected = hilbert_ideal(MonomialIdeal.from_generators(n, under), k)
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", cap)
+        assert hilbert_ideal(MonomialIdeal.from_generators(n, under), k) == expected
+        with pytest.raises(ValueError, match=fr"{message} g \* m, more than {16 * cap}$"):
+            hilbert_ideal(MonomialIdeal.from_generators(n, [*under, last]), k)
+
+    def test_listing_cap_is_applied_before_the_product_cap(self, monkeypatch):
+        # 16 quintics times the 6 quadrics are 96 products, past 48; the 6 quadrics pass the listing cap first
+        monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 3)
+        packed_monomials.cache_clear()
+        quintics = [Monomial(e) for e in all_monomials(3, 5)[:16]]
+        with pytest.raises(ValueError, match="degree 2 in 3 variables has more than 3 monomials"):
+            hilbert_ideal(MonomialIdeal.from_generators(3, quintics), 7)
+
     def test_paper_example(self):
         assert hilbert_ideal(PAPER_EXAMPLE, 3) == 5
         assert hilbert_quotient(PAPER_EXAMPLE, 3) == 15
