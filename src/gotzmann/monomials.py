@@ -7,7 +7,7 @@ every closed form elsewhere in the package is cross-checked against it.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby, islice
 from operator import attrgetter, lshift
@@ -212,18 +212,19 @@ def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
 
 def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:
     """I_k as exponent vectors packed as by packing(n, k): the products g * m over the
-    generators g of degree at most k and the monomials m of degree k - deg g; ValueError, once
-    each listing of the m has passed _cap_degree, past 16 * MAX_DEGREE_MONOMIALS products."""
+    generators g of degree at most k and the monomials m of degree k - deg g; ValueError, after
+    _cap_degree, when the products would take past 640 * MAX_DEGREE_MONOMIALS bytes as a set."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    n, d, generators = ideal
+    n, _, generators = ideal
     w, _ = packing(n, k)
-    counts = Counter(g.degree for g in generators) if d is None else {d: len(generators)}
-    products = sum(c * len(packed_monomials(n, k - e, w)) for e, c in counts.items() if c and e <= k)
-    if products > 16 * MAX_DEGREE_MONOMIALS:
-        raise ValueError(f"I_{k} has {products} products g * m, more than {16 * MAX_DEGREE_MONOMIALS}")
-    return {p + m for g in generators if (j := k - g.degree) >= 0
-            for p in (_pack(g.exponents, w),) for m in packed_monomials(n, j, w)}
+    parts = [(_pack(g.exponents, w), packed_monomials(n, j, w)) for g in generators if (j := k - g.degree) >= 0]
+    products = sum(len(ms) for _, ms in parts)
+    size = products * (n * w // 8 + 64)  # bytes for each: its digits, its int header and its set slot
+    if size > 640 * MAX_DEGREE_MONOMIALS:
+        raise ValueError(f"I_{k} has {products} products g * m of {n * w} bits, about {size} bytes "
+                         f"as a set, more than {640 * MAX_DEGREE_MONOMIALS}")
+    return {p + m for p, ms in parts for m in ms}
 
 
 def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:

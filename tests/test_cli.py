@@ -419,7 +419,8 @@ class TestExitCodes:
          "degree 1 in 4000000 variables has more than 1048576 monomials"),
         (["fvector", "--ideal", "big"], "10000000000 2\n", "more than 65536 faces"),
         pytest.param(["hilbert", "--ideal", "big", "--degree", "12"], format_ideal(lex_segment_ideal(16, 6, 500)),
-                     "I_12 has 27132000 products g * m, more than 16777216", id="products of lex-ideal 16 6 500"),
+                     "I_12 has 27132000 products g * m of 64 bits, about 1953504000 bytes as a set, "
+                     "more than 671088640", id="products of lex-ideal 16 6 500"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

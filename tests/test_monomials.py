@@ -1,4 +1,6 @@
 """Tests for monomials, ideals and the enumeration-based Hilbert functions."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,21 +209,27 @@ class TestHilbertRing:
 
 class TestHilbertIdeal:
     @pytest.mark.parametrize("cap, n, k, exponents, message", [
-        # 16 quintics times the 3 linear monomials fill the 16 * 3 = 48 products of I_6; 17 pass them
-        (3, 3, 6, all_monomials(3, 5)[:17], "I_6 has 51 products"),
-        # x1^39 times the 2 linear monomials and 30 generators of degree 40 fill 16 * 2 = 32; 31 pass them
-        (2, 2, 40, [(39, 0)] + [(a, 40 - a) for a in range(31)], "I_40 has 33 products"),
-    ], ids=["one degree", "two degrees"])
+        # products of 2 * 16 bits take 68 bytes each, so 160 of them fill 640 * 17 = 10880 bytes:
+        # 80 generators of degree 39999 times the 2 linear monomials fill them, 81 pass them
+        (17, 2, 40000, [(a, 39999 - a) for a in range(81)],
+         "I_40000 has 162 products g * m of 32 bits, about 11016 bytes as a set, more than 10880"),
+        # x1^39999 times the 2 linear monomials and 158 generators of degree 40000 fill them; 159 pass them
+        (17, 2, 40000, [(39999, 0)] + [(a, 40000 - a) for a in range(159)],
+         "I_40000 has 161 products g * m of 32 bits, about 10948 bytes as a set, more than 10880"),
+        # products of 128 * 2 bits take 96 bytes each: 60 quadrics fill 640 * 9 = 5760 bytes, 61 pass them
+        (9, 128, 2, [tuple(int(v in (i, i + 1)) for v in range(128)) for i in range(61)],
+         "I_2 has 61 products g * m of 256 bits, about 5856 bytes as a set, more than 5760"),
+    ], ids=["one degree", "two degrees", "wide"])
     def test_product_cap_both_sides(self, monkeypatch, cap, n, k, exponents, message):
         *under, last = map(Monomial, exponents)
         expected = hilbert_ideal(MonomialIdeal.from_generators(n, under), k)
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", cap)
         assert hilbert_ideal(MonomialIdeal.from_generators(n, under), k) == expected
-        with pytest.raises(ValueError, match=fr"{message} g \* m, more than {16 * cap}$"):
+        with pytest.raises(ValueError, match=fr"^{re.escape(message)}$"):
             hilbert_ideal(MonomialIdeal.from_generators(n, [*under, last]), k)
 
     def test_listing_cap_is_applied_before_the_product_cap(self, monkeypatch):
-        # 16 quintics times the 6 quadrics are 96 products, past 48; the 6 quadrics pass the listing cap first
+        # 16 quintics times the 6 quadrics take 96 * 65 bytes, past 640 * 3; the 6 quadrics pass the listing cap first
         monkeypatch.setattr(monomials, "MAX_DEGREE_MONOMIALS", 3)
         packed_monomials.cache_clear()
         quintics = [Monomial(e) for e in all_monomials(3, 5)[:16]]
