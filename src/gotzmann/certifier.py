@@ -16,7 +16,6 @@ from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import or_
-from typing import Callable
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .fileformats import format_graph
@@ -167,20 +166,20 @@ def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ..
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: Callable) -> tuple:
-    """The tables of _check_blocks for the free edges of edge_pairs(n), keyed by their
-    (multiples, vertex mask) and the pseudo-powers, so they follow _edge_tables and a patched
-    pseudo-power.  Per edge count e, the Macaulay bound on H(P/I, 3) and the Kruskal-Katona
-    bound on f_2.  The first min(|free|, 12) are the low edges: lane L, one per subset of them,
-    owns the w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1
-    in each field; per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing
-    some degree-3 monomials, (those monomials as a bitset, a 1 in each lane holding one of the
-    edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose edges all hold v); and the
-    _subset_table of the low edges and of the others, the high edges."""
+def _tables(n: int, free: int, macaulay, kk) -> tuple:
+    """The tables of _check_blocks for the last ``free`` edges of edge_pairs(n), read off _edge_tables(n),
+    and keyed by the pseudo-powers too, so they follow a patched one.  Per edge count e, the Macaulay
+    bound on H(P/I, 3) and the Kruskal-Katona bound on f_2.  The first min(free, 12) are the low edges:
+    lane L, one per subset of them, owns the w-bit field at bit L*w of an int, whose top bit is its
+    guard.  Then w; ``ones``, a 1 in each field; per edge count e0, M(e0 + |L|) in each field; per set
+    of low edges dividing some degree-3 monomials, (those monomials as a bitset, a 1 in each lane
+    holding one of the edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose edges all
+    hold v); and the _subset_table of the low edges and of the others, the high edges."""
+    edges = _edge_tables(n)[0][binomial(n, 2) - free:]
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
     # 2^12 lanes: wider ints (all 15 free edges) ran slower, a deeper chain (fewer free edges) takes far more memory
-    low, ring3 = free[:12], binomial(n + 2, 3)
+    low, ring3 = edges[:12], binomial(n + 2, 3)
     w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
     ones, mac = 1, [min(max(macaulay, 0), ring3 + 1) for macaulay, _ in bounds]
@@ -193,14 +192,14 @@ def _tables(n: int, free: tuple[tuple[int, int], ...], macaulay: Callable, kk: C
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
     stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars))
-    return bounds, w, ones, tuple(mac), tuple(planes), stars, _subset_table(low), _subset_table(free[12:])
+    return bounds, w, ones, tuple(mac), tuple(planes), stars, _subset_table(low), _subset_table(edges[12:])
 
 
 def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     """(checked, stars, gotzmann), weighted, over the blocks ((fixed, weight), ...), a block
     being the 2^free masks fixed | f << (C(n, 2) - free), the free edges being the last of
     edge_pairs(n); a failure raises StarTheoremMismatch.  Each call makes two cache lookups,
-    _edge_tables(n) and _tables of its free edges.
+    _edge_tables(n) and _tables(n, free, ...).
 
     The fixed edges fold into one OR and AND.  The first min(free, 12) free edges are the low
     edges, whose subsets L are the lanes of _tables; the others stay a loop over subsets H.
@@ -216,7 +215,7 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
         raise ValueError("edge mask out of range")
     half = shift + min(free, 12)
     bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
-        n, edges[shift:], macaulay_pseudopower, kruskal_katona_pseudopower)
+        n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
     guard = ones << w - 1
     ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
     for fixed, weight in blocks:

@@ -155,7 +155,7 @@ class FVector(_Value, namedtuple("FVector", "counts")):
 def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     """The Stanley-Reisner faces by size, from {∅} to the last size with any; ValueError once
     there are more than MAX_COMPLEX_FACES of them.  Every set smaller than the smallest support
-    s is a face, so the sizes up to s are counted, checked and then listed; those above grow."""
+    s is a face, so the sizes up to s are counted and checked first; then every level grows from {∅}."""
     supports = _supports(ideal)
     n = ideal.ambient_vars
     s = min(map(int.bit_count, supports), default=n + 1)
@@ -163,16 +163,12 @@ def _face_levels(ideal: MonomialIdeal) -> Iterator[frozenset[int]]:
     for k in range(min(s, n) + 1):  # stops at the first size past the cap, however large s is
         if (total := total + binomial(n, k)) > MAX_COMPLEX_FACES:
             raise ValueError(f"Stanley-Reisner complex has more than {MAX_COMPLEX_FACES} faces")
-    *below, level = (frozenset(islice(_colex_masks(k), binomial(n, k))) for k in range(s + 1))
-    yield from below
-    level -= supports
+    level, total = frozenset({0}), 1
     while level:
         yield level
-        # A set whose one-vertex deletions are faces contains a support only if it is one.
-        grown = _extensions(level, n, supports)
-        level = frozenset(islice(grown, MAX_COMPLEX_FACES - total + 1))  # at most one past the cap
-        total += len(level)
-        if total > MAX_COMPLEX_FACES:
+        # A set whose one-vertex deletions are faces holds a support only if it is one; take one past the cap at most.
+        level = frozenset(islice(_extensions(level, n, supports), MAX_COMPLEX_FACES - total + 1))
+        if (total := total + len(level)) > MAX_COMPLEX_FACES:
             raise ValueError(f"Stanley-Reisner complex has more than {MAX_COMPLEX_FACES} faces")
 
 

@@ -197,12 +197,13 @@ def _listed(items: Iterable[int], n: int, what: str) -> list[int]:
     return listed
 
 
-def _cap_degree(n: int, j: int) -> None:
-    """Refuse, by _cap, to list the monomials of degree j in n variables."""
-    _cap(hilbert_ring(n, j), n, f"degree {j} in {n} variables")
+def _cap_degree(n: int, j: int) -> int:
+    """The number of monomials of degree j in n variables, once _cap lets them be listed."""
+    _cap(count := hilbert_ring(n, j), n, f"degree {j} in {n} variables")
+    return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # above the 18 listings of the benchmark's ideals workload
 def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
     """All exponent vectors of degree j in n variables, lex-descending (x1 > ... > xn), each
     packed with fields of w bits; refused by _cap_degree before any is listed."""
@@ -213,18 +214,21 @@ def packed_monomials(n: int, j: int, w: int) -> tuple[int, ...]:
 def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:
     """I_k as exponent vectors packed as by packing(n, k): the products g * m over the
     generators g of degree at most k and the monomials m of degree k - deg g; ValueError, after
-    _cap_degree, when the products would take past 640 * MAX_DEGREE_MONOMIALS bytes as a set."""
+    _cap_degree and before any listing, when they would take past 640 * MAX_DEGREE_MONOMIALS bytes."""
     if k < 0:
         raise ValueError("degree must be non-negative")
     n, _, generators = ideal
     w, _ = packing(n, k)
-    parts = [(_pack(g.exponents, w), packed_monomials(n, j, w)) for g in generators if (j := k - g.degree) >= 0]
-    products = sum(len(ms) for _, ms in parts)
+    packed: dict[int, list[int]] = {}  # k - deg g -> those g, packed; keys in generator order, the order the caps run in
+    for g in generators:
+        if (j := k - g.degree) >= 0:
+            packed.setdefault(j, []).append(_pack(g.exponents, w))
+    products = sum(_cap_degree(n, j) * len(ps) for j, ps in packed.items())
     size = products * (n * w // 8 + 64)  # bytes for each: its digits, its int header and its set slot
     if size > 640 * MAX_DEGREE_MONOMIALS:
         raise ValueError(f"I_{k} has {products} products g * m of {n * w} bits, about {size} bytes "
                          f"as a set, more than {640 * MAX_DEGREE_MONOMIALS}")
-    return {p + m for p, ms in parts for m in ms}
+    return {p + m for j, ps in packed.items() for m in packed_monomials(n, j, w) for p in ps}
 
 
 def hilbert_ideal(ideal: MonomialIdeal, k: int) -> int:

@@ -34,6 +34,14 @@ STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
 TRIANGLE = Graph.from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
 
 
+@pytest.fixture
+def uncached_tables(monkeypatch):
+    """_tables built afresh on every call for one test: its cache is keyed by n, free and the
+    pseudo-powers, not by the edge tables, so a test that patches _edge_tables would otherwise
+    read the tables of the true ones, or leave its own behind."""
+    monkeypatch.setattr(certifier, "_tables", certifier._tables.__wrapped__)
+
+
 class TestCertify:
     def test_star_is_gotzmann(self):
         report = certify(edge_ideal(STAR7))
@@ -258,6 +266,7 @@ class TestVerifyStarTheorem:
         with pytest.raises(ValueError, match="^workers must be 1, not 2$"):
             verify_star_theorem(3, workers=2)
 
+    @pytest.mark.usefixtures("uncached_tables")
     def test_wrong_table_entry_reports_its_graph(self, monkeypatch):
         # Count x3^3, which no edge ideal contains, as a multiple of x1*x2 on
         # four vertices: every star through edge 12 turns non-Gotzmann, and
@@ -281,9 +290,10 @@ class TestVerifyStarTheorem:
         verify_star_theorem(8)
         assert certifier._tables.cache_info().currsize == built
 
+    @pytest.mark.usefixtures("uncached_tables")
     def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
         # As above, but on (3, 4), the last edge at n = 4 and a lane edge, once the lane
-        # tables of the true table are cached: the single edge 34 (mask 32) is reported.
+        # tables of the true table have been built: the single edge 34 (mask 32) is reported.
         verify_star_theorem(4)
         cached = certifier._edge_tables
         edges, squarefree = cached(4)
@@ -467,7 +477,7 @@ class TestSubsetTable:
         edges, _ = _edge_tables(n)
         pairs = edge_pairs(n)
         assert [vertices for _, vertices in edges] == list(map(vertex_mask, pairs))
-        _, w, _, _, _, stars, _, _ = _tables(n, edges, macaulay_pseudopower, kruskal_katona_pseudopower)
+        _, w, _, _, _, stars, _, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
         assert stars == tuple(
             (vertex_mask({v}), sum(1 << lane * w + w - 1 for lane in range(1 << len(pairs))
                                    if all(v in pairs[i] for i in range(len(pairs)) if lane >> i & 1)))

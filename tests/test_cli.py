@@ -20,6 +20,7 @@ PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
 TRIANGLE_GRAPH = "3\n1 2\n1 3\n2 3\n"
 WIDE_IDEAL = "1000\n1:1 2:1\n"
+CUBES_322 = "322\n" + "".join(f"{v}:3\n" for v in range(1, 323))
 SRC = Path(__file__).parents[1] / "src"
 
 
@@ -161,6 +162,12 @@ class TestHilbert:
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (2, "")
         assert "more than 16777216 exponents in all" in err
+
+    def test_wide_products_under_the_bound(self, capsys, write):
+        # x_i^3 on 322 variables: I_4 is the 103,684 products g * x_j (I_5 is refused, in TestExitCodes)
+        path = write("cubes.ideal", CUBES_322)
+        code, out, _ = run(capsys, "hilbert", "--ideal", path, "--degree", "4")
+        assert (code, out) == (0, "H(P, 4)   = 456326325\nH(I, 4)   = 103684\nH(P/I, 4) = 456222641\n")
 
     def test_exact_values_past_the_digit_limit(self, capsys, write):
         # H(P, 10^4) over 10^4 variables is C(19999, 9999), 6,019 digits, past the 4,300
@@ -421,6 +428,10 @@ class TestExitCodes:
         pytest.param(["hilbert", "--ideal", "big", "--degree", "12"], format_ideal(lex_segment_ideal(16, 6, 500)),
                      "I_12 has 27132000 products g * m of 64 bits, about 1953504000 bytes as a set, "
                      "more than 671088640", id="products of lex-ideal 16 6 500"),
+        # refused from the products' count, before the 52,003 quadrics of 322 exponents are listed
+        pytest.param(["hilbert", "--ideal", "big", "--degree", "5"], CUBES_322,
+                     "I_5 has 16744966 products g * m of 966 bits, about 3081073744 bytes as a set, "
+                     "more than 671088640", id="products of 322 cubes"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

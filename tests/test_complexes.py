@@ -232,6 +232,18 @@ class TestStanleyReisner:
         with pytest.raises(ValueError, match="more than 65536 faces"):
             stanley_reisner_complex(MonomialIdeal.from_generators(17, [], degree=2))
 
+    def test_faces_grown_past_the_indicator(self):
+        # 17 variables, past the 2^16 sets the indicator holds: every cubic but x1*x2*x3 leaves
+        # the 154 sets of size at most 2, and {1, 2, 3}
+        cubics = [c for c in combinations(range(1, 18), 3) if c != (1, 2, 3)]
+        ideal = sf_ideal(17, *cubics)
+        expected = [(1, 2, 3), *(f for k in range(3) for f in combinations(range(1, 18), k))]
+        c = stanley_reisner_complex(ideal)
+        assert c.faces == set(map(vertex_mask, expected))
+        assert f_vector(c).counts == (17, 136, 1)
+        assert [squarefree_face_count(ideal, k) for k in range(5)] == [1, 17, 136, 1, 0]
+        assert ideal_of_complex(c) == ideal.generators
+
     def test_whole_ground_set_in_ideal(self):
         # the ideal of all variables leaves only the empty face
         c = stanley_reisner_complex(sf_ideal(2, (1,), (2,)))

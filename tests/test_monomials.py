@@ -197,6 +197,14 @@ class TestHilbertRing:
         with pytest.raises(ValueError, match="more than 15 monomials"):
             packed_monomials(3, 5, 3)
 
+    def test_listing_cache_is_bounded(self):
+        # H(P/I, k) of (x1) in 3 variables lists the monomials of degree k - 1, packed
+        # k.bit_length() bits wide: one more listing for every k, of which the cache keeps its bound
+        x1 = ideal(3, (1, 0, 0))
+        assert [hilbert_quotient(x1, k) for k in range(1, 101)] == list(range(2, 102))
+        maxsize = packed_monomials.cache_parameters()["maxsize"]
+        assert maxsize is not None and packed_monomials.cache_info().currsize <= maxsize
+
     def test_exponent_cap_both_sides(self, monkeypatch):
         # with the cap lowered to 64: 32 linear monomials of 32 exponents fill the
         # 16 * 64 = 1024 exponents, 33 of 33 pass them

@@ -3,7 +3,9 @@
 Every check in src/gotzmann raises an explicit exception, because `python -O`
 strips assert statements and a check that vanishes under -O checks nothing.
 No module-level function calls itself, since a recursion deep enough to reach
-Python's limit ends in RecursionError, not in a refusal.
+Python's limit ends in RecursionError, not in a refusal.  Every function cache
+has an integer bound, so no cache grows for the life of a process, but for the
+verifier's per-n tables, whose keys have n <= 10.
 The package imports nothing but the standard library and itself, and a cold
 `import gotzmann` loads every library module but neither dataclasses nor
 inspect, which cost a CLI call more than the package itself.  Every name
@@ -56,6 +58,30 @@ def test_detector_finds_a_self_call():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_recursive_functions(path):
     assert self_calls(path.read_text()) == [], f"{path.name} has a function that calls itself"
+
+
+def cached_functions(source: str) -> list[str]:
+    """Names of the functions decorated by functools.lru_cache or functools.cache, however imported."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+            and any(ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] in {"lru_cache", "cache"}
+                    for d in node.decorator_list)]
+
+
+UNBOUNDED_CACHES = {"certifier": {"_edge_tables", "_representatives", "_tables"}}
+
+
+def test_detector_finds_a_cached_function():
+    source = ("@lru_cache(maxsize=None)\ndef f(n):\n    return n\n\n@functools.cache\ndef g(n):\n    return n\n\n"
+              "@staticmethod\ndef h(n):\n    return n\n")
+    assert cached_functions(source) == ["f", "g"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    module = importlib.import_module("gotzmann" if path.stem == "__init__" else f"gotzmann.{path.stem}")
+    unbounded = [name for name in cached_functions(path.read_text()) if name not in UNBOUNDED_CACHES.get(path.stem, ())
+                 and not isinstance(getattr(module, name).cache_parameters()["maxsize"], int)]
+    assert unbounded == [], f"{path.name} caches without an integer maxsize"
 
 
 def imported_modules(source: str) -> set[str]:
