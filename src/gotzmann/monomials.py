@@ -219,7 +219,7 @@ def degree_part(ideal: MonomialIdeal, k: int) -> set[int]:
         raise ValueError("degree must be non-negative")
     n, _, generators = ideal
     w, _ = packing(n, k)
-    packed: dict[int, list[int]] = {}  # k - deg g -> those g, packed; keys in generator order, the order the caps run in
+    packed: dict[int, list[int]] = {}  # k - deg g -> those g, packed; keys in generator order, as the caps run
     for g in generators:
         if (j := k - g.degree) >= 0:
             packed.setdefault(j, []).append(_pack(g.exponents, w))
