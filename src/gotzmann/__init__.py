@@ -5,6 +5,7 @@ Stanley-Reisner complexes with Kruskal-Katona checks, edge ideals of simple
 graphs, and a Gotzmann certifier with an exhaustive star-graph theorem
 verifier.
 """
+from . import fileformats  # loaded with the package, as no library module imports it
 from .certifier import (
     GotzmannReport,
     StarTheoremMismatch,

@@ -1,12 +1,12 @@
 """The Gotzmann certifier and the exhaustive star-graph theorem verifier.
 
-The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier
-makes one kernel call per vertex count n, over one block of graphs per class of a
-stabilizer chain fixing vertices 1..depth (depth max(2, n - 6), so at most 15 free edges),
-weighted by class size.  Cached bitsets of degree-3 multiples make H(I, 3) a popcount, and
-one cached builder per n makes the bounds and the lane and subset tables of the free edges;
-up to 2^12 graphs share one int, a guard-bit field each, so one subtraction tests them all
-against the Macaulay bound; only those at it, and stars, reach the scalar checks.
+The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier makes one
+kernel call per vertex count n, over one block of graphs per class of a stabilizer chain fixing
+vertices 1..depth (depth max(2, n - 6), so at most 15 free edges), weighted by class size.
+Bitsets of degree-3 multiples make H(I, 3) a popcount, and one cached snapshot per n holds them
+with the bounds and the lane and subset tables of the free edges; up to 2^12 graphs share one
+int, a guard-bit field each, so one subtraction tests them all against the Macaulay bound; only
+those at it, and stars, reach the scalar checks.
 """
 from __future__ import annotations
 
@@ -18,9 +18,10 @@ from math import prod
 from operator import or_
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower, macaulay_pseudopower
-from .fileformats import format_graph
 from .graphs import Graph, edge_ideal, edge_pairs
 from .monomials import MonomialIdeal, degree_part, hilbert_ring, packed_monomials, packing
+
+MAX_VERTICES = 10  # the largest max_vertices verify_star_theorem takes, and so its caches' bound
 
 
 class GotzmannReport(_Value, namedtuple(
@@ -120,7 +121,6 @@ class StarTheoremSummary(_Value, namedtuple(
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
 def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a bitset,
     bit i for monomial i of packed_monomials(n, 3, w), and its vertex mask (bit v - 1 for
@@ -141,7 +141,7 @@ def _subset_table(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], 
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_VERTICES)
 def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(free, ((fixed, weight), ...)): one edge mask per class of a stabilizer chain fixing
     vertices 1..depth in turn, with the class size.  The vertices after the fixed ones form
@@ -165,20 +165,21 @@ def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ..
     return binomial(max(n - depth, 0), 2), tuple((fixed, weight) for fixed, weight, _ in level)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_VERTICES)
 def _tables(n: int, free: int, macaulay, kk) -> tuple:
-    """The tables of _check_blocks for the last ``free`` edges of edge_pairs(n), read off _edge_tables(n),
-    and keyed by the pseudo-powers too, so they follow a patched one.  Per edge count e, the Macaulay
-    bound on H(P/I, 3) and the Kruskal-Katona bound on f_2.  The first min(free, 12) are the low edges:
-    lane L, one per subset of them, owns the w-bit field at bit L*w of an int, whose top bit is its
-    guard.  Then w; ``ones``, a 1 in each field; per edge count e0, M(e0 + |L|) in each field; per set
-    of low edges dividing some degree-3 monomials, (those monomials as a bitset, a 1 in each lane
-    holding one of the edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose edges all
-    hold v); and the _subset_table of the low edges and of the others, the high edges."""
-    edges = _edge_tables(n)[0][binomial(n, 2) - free:]
+    """The one snapshot _check_blocks reads for the last ``free`` edges of edge_pairs(n), keyed by the
+    pseudo-powers too, so it follows a patched one; a run keys one per n.  In order: both parts of
+    _edge_tables(n); the number of low edges, the first free ones; per edge count e, the Macaulay bound
+    on H(P/I, 3) and the Kruskal-Katona bound on f_2.  Lane L, one per subset of the low edges, owns the
+    w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1 in each field;
+    per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing some degree-3 monomials,
+    (those monomials as a bitset, a 1 in each lane holding one of the edges); per vertex v, (1 << v - 1,
+    the guard bits of the lanes whose edges all hold v); and the _subset_table of the low and high edges."""
+    every_edge, squarefree = _edge_tables(n)
+    edges = every_edge[binomial(n, 2) - free:]
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
-    # 2^12 lanes: wider ints (all 15 free edges) ran slower, a deeper chain (fewer free edges) takes far more memory
+    # 2^12 lanes, chosen at n = 10: 2^15 (all 15 free edges) ran slower, and one level deeper took 15x the memory
     low, ring3 = edges[:12], binomial(n + 2, 3)
     w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
@@ -192,31 +193,30 @@ def _tables(n: int, free: int, macaulay, kk) -> tuple:
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
     stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars))
-    return bounds, w, ones, tuple(mac), tuple(planes), stars, _subset_table(low), _subset_table(edges[12:])
+    return (every_edge, squarefree, len(low), bounds, w, ones, tuple(mac), tuple(planes), stars,
+            _subset_table(low), _subset_table(edges[len(low):]))
 
 
 def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     """(checked, stars, gotzmann), weighted, over the blocks ((fixed, weight), ...), a block
     being the 2^free masks fixed | f << (C(n, 2) - free), the free edges being the last of
-    edge_pairs(n); a failure raises StarTheoremMismatch.  Each call makes two cache lookups,
-    _edge_tables(n) and _tables(n, free, ...).
+    edge_pairs(n); a failure raises StarTheoremMismatch, and free outside 0..C(n, 2) ValueError.
+    Each call makes one cache lookup, _tables(n, free, ...), for every edge, bound and lane.
 
-    The fixed edges fold into one OR and AND.  The first min(free, 12) free edges are the low
-    edges, whose subsets L are the lanes of _tables; the others stay a loop over subsets H.
+    The fixed edges fold into one OR and AND.  The first free edges are the low edges of _tables,
+    whose subsets L are the lanes; the others, the high edges, stay a loop over subsets H.
     With F the fixed edges and H, H(P/I, 3) >= M(|F| + |L|) exactly when
     u = M(|F| + |L|) + #(multiples of L, not of F) <= base = C(n+2, 3) - #(multiples of F),
     so one subtraction, (guard + base in each field) - u, keeps the guard bits of those lanes,
     and no field borrows from the next.  The star lanes, whose edges all hold a vertex that
     every edge of F holds, are OR'ed in.  These candidates, every Gotzmann or star mask, go
     through the scalar checks lowest mask first; any other lane is a non-star below its bound."""
-    edges, squarefree = _edge_tables(n)
-    shift = len(edges) - free
-    if not 0 <= shift <= len(edges):
+    shift = binomial(n, 2) - free
+    if not 0 <= shift <= binomial(n, 2):
         raise ValueError("edge mask out of range")
-    half = shift + min(free, 12)
-    bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
+    edges, squarefree, split, bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
         n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
-    guard = ones << w - 1
+    half, guard = shift + split, ones << w - 1
     ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
     for fixed, weight in blocks:
         if fixed < 0 or fixed >> shift:
@@ -250,10 +250,9 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
                 stars, gotzmann = stars + star * weight, gotzmann + gotz * weight
                 f2 = triangles - (multiples & squarefree).bit_count()
                 if gotz != star or gotz and (e >= n or f2 != kk):
-                    g = Graph.from_edge_mask(n, mask)
                     raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
                                               f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
-                                              f"the Kruskal-Katona bound {kk}\n{format_graph(g)}", g)
+                                              f"the Kruskal-Katona bound {kk}", Graph.from_edge_mask(n, mask))
     return checked, stars, gotzmann
 
 
@@ -263,15 +262,15 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
 
     Relabeling vertices changes neither the Hilbert function nor star-ness, so each n
     makes one _check_blocks call over _representatives(n, depth), weighted by class size:
-    every count is labeled.  The depth is the smallest >= 2 leaving at most 15 free edges,
-    12 lane edges and 3 high ones.  A Gotzmann instance also needs e < n and
+    every count is labeled.  The depth is the smallest >= 2 leaving at most 15 free edges, the
+    lane edges of _tables and at most 3 high ones.  A Gotzmann instance also needs e < n and
     f_d = f_{d-1}^(d) (Kruskal-Katona), or StarTheoremMismatch carries the graph.  Weights
     not summing to 2^C(n, 2), or other than 1 + C(n, 2) + n(2^(n-1) - n) stars on n
-    vertices, raise ArithmeticError.  max_vertices outside 1..10, and workers != 1 (kept
-    for callers passing 1), raise ValueError.
+    vertices, raise ArithmeticError.  max_vertices outside 1..MAX_VERTICES, and workers != 1
+    (kept for callers passing 1), raise ValueError.  A second run rebuilds no blocks or tables.
     """
-    if not 1 <= max_vertices <= 10:
-        raise ValueError(f"max_vertices must be in 1..10, not {max_vertices}")
+    if not 1 <= max_vertices <= MAX_VERTICES:
+        raise ValueError(f"max_vertices must be in 1..{MAX_VERTICES}, not {max_vertices}")
     if workers != 1:
         raise ValueError(f"workers must be 1, not {workers}")
     start_time = time.perf_counter()

@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except certifier.StarTheoremMismatch as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
+        print(f"MISMATCH: {exc}", fileformats.format_graph(exc.graph), sep="\n", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

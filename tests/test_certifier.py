@@ -1,5 +1,8 @@
 """Tests for the Gotzmann certifier, closed forms and the theorem verifier."""
+import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,14 +35,6 @@ from oracles import all_monomials, stanley_reisner_faces, vertex_mask
 
 STAR7 = Graph.from_edge_list(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
 TRIANGLE = Graph.from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
-
-
-@pytest.fixture
-def uncached_tables(monkeypatch):
-    """_tables built afresh on every call for one test: its cache is keyed by n, free and the
-    pseudo-powers, not by the edge tables, so a test that patches _edge_tables would otherwise
-    read the tables of the true ones, or leave its own behind."""
-    monkeypatch.setattr(certifier, "_tables", certifier._tables.__wrapped__)
 
 
 class TestCertify:
@@ -290,6 +285,14 @@ class TestVerifyStarTheorem:
         verify_star_theorem(8)
         assert certifier._tables.cache_info().currsize == built
 
+    def test_a_second_run_misses_neither_cache(self):
+        # a full cache keeps its size while it rebuilds, so its misses tell what currsize cannot
+        caches = certifier._tables, certifier._representatives
+        verify_star_theorem(8)
+        misses = [cache.cache_info().misses for cache in caches]
+        verify_star_theorem(8)
+        assert [cache.cache_info().misses for cache in caches] == misses
+
     @pytest.mark.usefixtures("uncached_tables")
     def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
         # As above, but on (3, 4), the last edge at n = 4 and a lane edge, once the lane
@@ -477,7 +480,7 @@ class TestSubsetTable:
         edges, _ = _edge_tables(n)
         pairs = edge_pairs(n)
         assert [vertices for _, vertices in edges] == list(map(vertex_mask, pairs))
-        _, w, _, _, _, stars, _, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
+        *_, w, _, _, _, stars, _, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
         assert stars == tuple(
             (vertex_mask({v}), sum(1 << lane * w + w - 1 for lane in range(1 << len(pairs))
                                    if all(v in pairs[i] for i in range(len(pairs)) if lane >> i & 1)))
@@ -495,3 +498,41 @@ class TestSubsetTable:
                     expected_multiples |= m
                     expected_common &= v
                 assert (multiples, common) == (expected_multiples, expected_common)
+
+
+def fields(x, w, lanes):
+    """The ``lanes`` w-bit fields of x, lowest first: field L is x >> L*w & (2^w - 1), and x has no others."""
+    bits = format(x, f"0{lanes * w}b")
+    assert len(bits) == lanes * w, "a bit above the last field"
+    return [int(bits[i - w:i], 2) for i in range(len(bits), 0, -w)]
+
+
+class TestLaneTables:
+    @pytest.mark.parametrize("n, free", [(n, free) for n in range(1, 8) for free in range(binomial(n, 2) + 1)]
+                             + [(8, 15)])  # n = 8 with 15 free edges has 3 high edges
+    def test_every_field_meets_its_definition(self, n, free):
+        # each table against what lane L (a set of low edges) stands for, field by field
+        table = _tables(n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
+        edges, squarefree, split, bounds, w, ones, mac, planes, stars, low, high = table
+        assert (edges, squarefree) == _edge_tables(n)
+        ring3, shift, lanes = binomial(n + 2, 3), binomial(n, 2) - free, 1 << min(free, 12)
+        assert split == min(free, 12) and 2 * ring3 + 1 < 1 << w - 1
+        macaulay = [macaulay_pseudopower(binomial(n + 1, 2) - e, 2) for e in range(binomial(n, 2) + 1)]
+        assert bounds == tuple((m, kruskal_katona_pseudopower(binomial(n, 2) - e, 2)) for e, m in enumerate(macaulay))
+        assert fields(ones, w, lanes) == [1] * lanes
+        assert len(mac) == binomial(n, 2) + 1 - split
+        clamped = [min(max(m, 0), ring3 + 1) for m in macaulay]
+        for e0, packed in enumerate(mac):
+            assert fields(packed, w, lanes) == [clamped[e0 + lane.bit_count()] for lane in range(lanes)]
+        chosen = [[shift + k for k in range(split) if lane >> k & 1] for lane in range(lanes)]
+        pairs = edge_pairs(n)
+        holders = [set(range(1, n + 1)).intersection(*(pairs[i] for i in lane)) for lane in chosen]
+        for v in range(1, n + 1):
+            assert stars[v - 1][0] == vertex_mask({v})
+            assert fields(stars[v - 1][1], w, lanes) == [(v in held) << w - 1 for held in holders]
+        multiples = [reduce(or_, (edges[i][0] for i in lane), 0) for lane in chosen]
+        rng = random.Random(100 * n + free)
+        for outside in [0, (1 << ring3) - 1] + [rng.getrandbits(ring3) for _ in range(3)]:
+            total = sum((group & ~outside).bit_count() * plane for group, plane in planes)
+            assert fields(total, w, lanes) == [(m & ~outside).bit_count() for m in multiples]
+        assert (low, high) == (_subset_table(edges[shift:shift + split]), _subset_table(edges[shift + split:]))

@@ -444,6 +444,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert seconds < 1.0
 
+    @pytest.mark.usefixtures("uncached_tables")
     def test_theorem_mismatch_exits_1_with_its_graph(self, capsys, monkeypatch):
         # the patched table of TestVerifyStarTheorem::test_wrong_table_entry_reports_its_graph
         # in test_certifier.py: x3^3 counted as a multiple of x1*x2 on four vertices

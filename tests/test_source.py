@@ -4,11 +4,11 @@ Every check in src/gotzmann raises an explicit exception, because `python -O`
 strips assert statements and a check that vanishes under -O checks nothing.
 No module-level function calls itself, since a recursion deep enough to reach
 Python's limit ends in RecursionError, not in a refusal.  Every function cache
-has an integer bound, so no cache grows for the life of a process, but for the
-verifier's per-n tables, whose keys have n <= 10.
-The package imports nothing but the standard library and itself, and a cold
-`import gotzmann` loads every library module but neither dataclasses nor
-inspect, which cost a CLI call more than the package itself.  Every name
+has an integer bound, so no cache grows for the life of a process.
+The package imports nothing but the standard library and itself, and only cli
+and __init__ import the file formats.  A cold `import gotzmann` loads every
+library module but neither dataclasses nor inspect, which cost a CLI call
+more than the package itself.  Every name
 the README's library overview lists exists in the module of its row.  Every
 exception class the package raises by name is caught by an except clause of
 cli.main, so the CLI turns it into an exit code rather than a traceback.
@@ -67,9 +67,6 @@ def cached_functions(source: str) -> list[str]:
                     for d in node.decorator_list)]
 
 
-UNBOUNDED_CACHES = {"certifier": {"_edge_tables", "_representatives", "_tables"}}
-
-
 def test_detector_finds_a_cached_function():
     source = ("@lru_cache(maxsize=None)\ndef f(n):\n    return n\n\n@functools.cache\ndef g(n):\n    return n\n\n"
               "@staticmethod\ndef h(n):\n    return n\n")
@@ -79,8 +76,8 @@ def test_detector_finds_a_cached_function():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_bounded(path):
     module = importlib.import_module("gotzmann" if path.stem == "__init__" else f"gotzmann.{path.stem}")
-    unbounded = [name for name in cached_functions(path.read_text()) if name not in UNBOUNDED_CACHES.get(path.stem, ())
-                 and not isinstance(getattr(module, name).cache_parameters()["maxsize"], int)]
+    unbounded = [name for name in cached_functions(path.read_text())
+                 if not isinstance(getattr(module, name).cache_parameters()["maxsize"], int)]
     assert unbounded == [], f"{path.name} caches without an integer maxsize"
 
 
@@ -104,6 +101,34 @@ def test_import_detector():
 def test_stdlib_only(path):
     outside = imported_modules(path.read_text()) - sys.stdlib_module_names - {"gotzmann"}
     assert not outside, f"{path.name} imports {sorted(outside)} from outside the standard library"
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that a module's source imports, relatively or as gotzmann.<module>."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("gotzmann" if node.level else None, node.module)))
+            paths = [f"{module}.{alias.name}" for alias in node.names] if module == "gotzmann" else [module]
+        else:
+            continue
+        names.update(path.split(".")[1] for path in paths if path.startswith("gotzmann."))
+    return names
+
+
+def test_package_import_detector():
+    source = ("from .fileformats import format_graph\nfrom . import cli, graphs\nimport gotzmann.monomials, os\n"
+              "from gotzmann import complexes\nfrom gotzmann.combinatorics import binomial\nimport gotzmann\n")
+    assert package_imports(source) == {"fileformats", "cli", "graphs", "monomials", "complexes", "combinatorics"}
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.stem not in {"cli", "__init__"}],
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_the_file_formats(path):
+    # the library speaks objects; the CLI alone turns them into the file formats and back
+    assert "fileformats" not in package_imports(path.read_text()), f"{path.name} imports fileformats"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
