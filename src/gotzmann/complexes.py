@@ -2,9 +2,10 @@
 
 A complex is stored as its full face set of int vertex masks (bit v - 1 is vertex v, so colex
 order of k-subsets is numeric order), with at most MAX_COMPLEX_FACES faces: from_faces refuses
-faces whose subsets pass it, and compressed_complex an f-vector whose faces do.  Stanley-Reisner
-faces are read off one 2^n-bit indicator when all 2^n vertex sets fit under the cap, and are
-otherwise grown size by size and refused past it.
+faces whose subsets pass it, and compressed_complex an f-vector whose faces do.  When all 2^n
+vertex sets fit under the cap, the Stanley-Reisner faces and a complex's minimal non-faces are
+read off 2^n-bit indicators; otherwise the faces are grown size by size and refused past the cap,
+and the minimal non-faces are the faces' extensions that are no faces.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower
-from .monomials import Monomial, MonomialIdeal, _listed
+from .monomials import MAX_DEGREE_MONOMIALS, Monomial, MonomialIdeal, _listed
 
 MAX_COMPLEX_FACES = 1 << 16  # cap on the faces a complex may hold in memory
 _SWAP_DIGITS = bytes.maketrans(b"01\0\1", b"\0\1" b"01")  # the digits 0 and 1 <-> the bytes 0 and 1
@@ -54,6 +55,12 @@ def _holders(n: int) -> dict[int, int]:
     return {0: full} | {1 << v: full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v)) for v in range(n)}
 
 
+def _members(indicator: int, n: int) -> Iterator[int]:
+    """The sets s over n vertices with bit s of the 2^n-bit ``indicator`` set, in increasing order:
+    its 2^n binary digits, lowest first, as the bytes 0 and 1 that compress reads."""
+    return compress(range(1 << n), f"{indicator:0{1 << n}b}"[::-1].encode().translate(_SWAP_DIGITS))
+
+
 def _extensions(family: frozenset[int], n: int, exclude: frozenset[int]) -> Iterator[int]:
     """The masks t over n vertices outside ``exclude`` (one lookup, so tested first) whose
     one-vertex deletions all lie in ``family``, each grown once, from t minus its top bit."""
@@ -79,7 +86,7 @@ class SimplicialComplex(_Value, namedtuple("SimplicialComplex", "ground_size fac
             raise ValueError("complex must contain the empty face")
         # Closed under removing one vertex means downward closed, by induction.
         for face in faces:
-            if not 0 <= face < 1 << ground_size:
+            if face < 0 or face >> ground_size:  # no 2^ground_size-bit bound is built
                 raise ValueError(f"face mask {face} outside vertices 1..{ground_size}")
             for b in _bits(face):
                 if face ^ b not in faces:
@@ -88,11 +95,19 @@ class SimplicialComplex(_Value, namedtuple("SimplicialComplex", "ground_size fac
 
     @classmethod
     def from_faces(cls, ground_size: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-        """Build the smallest complex containing the given faces: all their subsets.  Faces are
-        expanded largest first, skipping any already in the closure; ValueError before expanding
-        a face with more than MAX_COMPLEX_FACES subsets, and once the closure passes that cap."""
+        """Build the smallest complex containing the given faces: all their subsets, expanded largest
+        first, skipping any already in the closure.  ValueError before any mask is built for a face
+        with more than MAX_COMPLEX_FACES subsets, or when Σ 2^|face| · max face, a bound on the bits
+        of all the subsets' masks, passes 1024 * MAX_DEGREE_MONOMIALS (128 MiB, the bytes of
+        monomials._cap's exponents as 8-byte tuple slots); and once the closure passes the cap."""
         if ground_size < 1:
             raise ValueError("ground set must be non-empty")
+        faces = list(map(frozenset, faces))
+        if (subsets := 1 << max(map(len, faces), default=0)) > MAX_COMPLEX_FACES:
+            raise ValueError(f"a face with {subsets} subsets gives more than {MAX_COMPLEX_FACES} faces")
+        if (bits := sum(max(face, default=0) << len(face) for face in faces)) > 1024 * MAX_DEGREE_MONOMIALS:
+            raise ValueError(f"the faces' subsets could take {bits} mask bits in all, "
+                             f"more than {1024 * MAX_DEGREE_MONOMIALS}")
         masks = list(map(_mask, faces))
         if (top := max(masks, default=0)) >> ground_size:
             raise ValueError(f"face mask {top} outside vertices 1..{ground_size}")
@@ -100,8 +115,6 @@ class SimplicialComplex(_Value, namedtuple("SimplicialComplex", "ground_size fac
         for face in sorted(masks, key=int.bit_count, reverse=True):
             if face in closure:
                 continue
-            if (subsets := 1 << face.bit_count()) > MAX_COMPLEX_FACES:
-                raise ValueError(f"a face with {subsets} subsets gives more than {MAX_COMPLEX_FACES} faces")
             sub = face
             while sub:  # every submask of the face, down to the empty face
                 closure.add(sub)
@@ -189,16 +202,30 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
         return SimplicialComplex._make((n, frozenset().union(*_face_levels(ideal))))
     holders = _holders(n)
     above = (reduce(int.__and__, map(holders.__getitem__, _bits(m)), holders[0]) for m in _supports(ideal))
-    faces = f"{holders[0] ^ reduce(int.__or__, above, 0):0{1 << n}b}"[::-1].encode().translate(_SWAP_DIGITS)
-    return SimplicialComplex._make((n, frozenset(compress(range(1 << n), faces))))  # bit s set: s is a face
+    return SimplicialComplex._make((n, frozenset(_members(holders[0] ^ reduce(int.__or__, above, 0), n))))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
-    """Minimal non-faces, as square-free monomials: the extensions of the faces that are not faces,
-    as a non-face is minimal when each one-vertex deletion is a face.  A raw generator set, not a
-    MonomialIdeal, as their degrees may differ; ValueError, by _listed, past monomials._cap."""
+    """Minimal non-faces, as square-free monomials: the non-faces whose one-vertex deletions are
+    all faces.  While 2^n is within the cap they are read off the faces' 2^n-bit indicator F: for
+    a vertex bit b in s, bit s of F << b is the face bit of s - b, so they are the bits outside F
+    that, for every b, lack b or are set in F << b.  Past the cap they are the _extensions of the
+    faces that are not faces.  A raw generator set, not a MonomialIdeal, as their degrees may
+    differ; ValueError, by _listed, past monomials._cap."""
     n, faces = complex_.ground_size, complex_.faces
-    masks = _listed(_extensions(faces, n, faces), n, "the list of minimal non-faces so far")
+    if n >= MAX_COMPLEX_FACES.bit_length():  # 2^n > the cap, read off n so no 2^n-bit int is built
+        minimal = _extensions(faces, n, faces)
+    else:
+        indicator = bytearray(1 << n)
+        for s in faces:
+            indicator[s] = 1
+        f = int(indicator[::-1].translate(_SWAP_DIGITS), 2)  # bit s set: s is a face
+        holders = _holders(n)
+        bits = holders[0] ^ f
+        for b, holder in islice(holders.items(), 1, None):  # after key 0, the indicator of all sets
+            bits &= f << b | ~holder
+        minimal = _members(bits, n)
+    masks = _listed(minimal, n, "the list of minimal non-faces so far")
     # exponent v - 1 is bit v - 1 of s: its n binary digits, reversed, as bytes 0 and 1
     return frozenset(Monomial._make((tuple(f"{s:0{n}b}"[::-1].encode().translate(_SWAP_DIGITS)),)) for s in masks)
 

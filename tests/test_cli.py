@@ -432,6 +432,9 @@ class TestExitCodes:
         pytest.param(["hilbert", "--ideal", "big", "--degree", "5"], CUBES_322,
                      "I_5 has 16744966 products g * m of 966 bits, about 3081073744 bytes as a set, "
                      "more than 671088640", id="products of 322 cubes"),
+        # one facet {10^10}: refused from its size and top vertex, before its 10^10-bit mask is built
+        (["fvector", "--complex", "big"], "10000000000\n10000000000\n",
+         "could take 20000000000 mask bits in all, more than 1073741824"),
     ])
     def test_oversized_input_exits_2_in_bounded_memory(self, tmp_path, argv, content, message):
         # each of these once built 10^9 or more list entries, or computed a binomial of

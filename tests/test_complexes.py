@@ -1,7 +1,11 @@
 """Tests for complexes, the Stanley-Reisner correspondence and f-vectors."""
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +31,9 @@ from gotzmann.monomials import (
     hilbert_quotient,
 )
 from oracles import colex_first, minimal_under, stanley_reisner_faces, vertex_mask
+
+SRC = Path(__file__).parents[1] / "src"
+
 
 def sf_ideal(n, *supports):
     return MonomialIdeal.from_generators(
@@ -80,6 +87,16 @@ class TestSimplicialComplex:
     def test_bad_masks_rejected(self, faces, message):
         with pytest.raises(ValueError, match=message):
             SimplicialComplex(3, frozenset(faces))
+
+    def test_huge_ground_set_checks_masks_in_bounded_memory(self):
+        # a child capped at 600 MB, so that a 2^(10^10)-bit range bound would end in MemoryError there
+        limit = 600 << 20
+        child = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                 "from gotzmann.complexes import SimplicialComplex; "
+                 "print(SimplicialComplex(10**10, frozenset({0, 1})).faces == {0, 1})")
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_masks_accepted(self):
         c = SimplicialComplex(3, frozenset({0, 0b001, 0b010, 0b011, 0b100}))
@@ -274,11 +291,31 @@ def test_benchmark_sized_round_trip(ideal):
 
 @pytest.mark.parametrize("ideal", benchmark_sized_ideals())
 def test_benchmark_sized_faces_without_growing(ideal, monkeypatch):
-    # at 8-11 variables every face is read off the indicator: no level is listed or grown
+    # at 8-11 variables every face and minimal non-face is read off the indicator: no level is
+    # listed or grown
     for name in ("_colex_masks", "_extensions"):
         monkeypatch.setattr(complexes, name, lambda *args: pytest.fail("faces listed or grown"))
     expected = stanley_reisner_faces(ideal.ambient_vars, [g.support for g in ideal.generators])
-    assert stanley_reisner_complex(ideal).faces == set(map(vertex_mask, expected))
+    c = stanley_reisner_complex(ideal)
+    assert c.faces == set(map(vertex_mask, expected))
+    assert ideal_of_complex(c) == ideal.generators
+
+
+@pytest.mark.parametrize("n, unused", [(16, "_extensions"), (17, "_members")])
+def test_minimal_non_faces_on_each_side_of_the_indicator(n, unused, monkeypatch):
+    # 2^16 sets fit under the cap and 2^17 do not: n = 16 reads the indicator, n = 17 grows
+    # the faces.  The complex is a graph on vertices 1..n-1, so every minimal non-face has at
+    # most 3 vertices, and the oracle sees all non-faces up to that size.
+    assert MAX_COMPLEX_FACES.bit_length() == 17
+    rng = random.Random(n)
+    edges = rng.sample(list(combinations(range(1, n), 2)), 3 * n)
+    c = SimplicialComplex.from_faces(n, [[v] for v in range(1, n)] + edges)
+    monkeypatch.setattr(complexes, unused, lambda *args: pytest.fail(f"{unused} called"))
+    faces = {frozenset()} | {frozenset([v]) for v in range(1, n)} | set(map(frozenset, edges))
+    non_faces = [s for size in (1, 2, 3) for s in map(frozenset, combinations(range(1, n + 1), size))
+                 if s not in faces]
+    minimal = minimal_under(non_faces, frozenset.__le__)
+    assert ideal_of_complex(c) == {Monomial.squarefree(n, sorted(s)) for s in minimal}
 
 
 class TestIdealOfComplex:

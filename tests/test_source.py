@@ -138,9 +138,10 @@ def test_no_dataclasses(path):
 
 def test_cold_import():
     # a fresh interpreter without site, as a CLI call starts; every library module loads at
-    # once, so no lazy attribute moves the cost of one into its first use
+    # once, so no lazy attribute moves the cost of one into its first use.  -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the run from leaving a bytecode cache in src/.
     code = "import sys; sys.path.insert(0, sys.argv[1]); import gotzmann; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = set(out.stdout.split())
     assert not {"dataclasses", "inspect"} & loaded
