@@ -279,15 +279,19 @@ class TestVerifyStarTheorem:
         assert info.value.graph == Graph.from_edge_mask(4, 1)
         assert "is_gotzmann=False, is_star=True" in str(info.value)
 
+    def test_a_second_run_builds_no_tables(self):
+        verify_star_theorem(8)
+        built = certifier._tables.cache_info().currsize
+        verify_star_theorem(8)
+        assert certifier._tables.cache_info().currsize == built
+
     def test_a_second_run_misses_neither_cache(self):
         # a full cache keeps its size while it rebuilds, so its misses tell what currsize cannot
         caches = certifier._tables, certifier._representatives
         verify_star_theorem(8)
         misses = [cache.cache_info().misses for cache in caches]
-        built = certifier._tables.cache_info().currsize
         verify_star_theorem(8)
         assert [cache.cache_info().misses for cache in caches] == misses
-        assert certifier._tables.cache_info().currsize == built
 
     @pytest.mark.usefixtures("uncached_tables")
     def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
