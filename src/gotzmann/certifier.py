@@ -3,10 +3,12 @@
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier makes one
 kernel call per vertex count n, over one block of graphs per class of a stabilizer chain fixing
 vertices 1..depth (depth max(2, n - 6), so at most 15 free edges), weighted by class size.
-Bitsets of degree-3 multiples make H(I, 3) a popcount, and one cached snapshot per n holds them
-with the bounds and the lane and subset tables of the free edges; up to 2^12 graphs share one
-int, a guard-bit field each, so one subtraction tests them all against the Macaulay bound; only
-those at it, and stars, reach the scalar checks.
+H(I, 3) = 2e + t, with t the 3-sets holding an edge, as x_i^2 x_j is a multiple of the edge ij
+alone; the edge tables, read off the enumeration of I_3, are checked against it once per n.  So
+bitsets of 3-sets make t, and with it H(P/I, 3) and f_2, a popcount, and one cached snapshot per
+n holds them with the bounds and the lane and subset tables of the free edges; up to 2^12 graphs
+share one int, a guard-bit field each, so one subtraction tests them all against the Macaulay
+bound; only those at it, and stars, reach the scalar checks.
 """
 from __future__ import annotations
 
@@ -121,23 +123,31 @@ class StarTheoremSummary(_Value, namedtuple(
     __slots__ = ()
 
 
-def _edge_tables(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Per edge of edge_pairs(n), the degree-3 part of its own edge ideal as a bitset,
-    bit i for monomial i of packed_monomials(n, 3, w), and its vertex mask (bit v - 1 for
-    vertex v); and the bitset of the square-free cubics, which are the 3-subsets."""
+def _edge_tables(n: int) -> tuple[tuple[int, int], ...]:
+    """Per edge of edge_pairs(n), the 3-sets holding it as a bitset, bit i for the i-th square-free
+    cubic of packed_monomials(n, 3, w), and its vertex mask (bit v - 1 for vertex v), read off the
+    degree-3 part of its own edge ideal.  Unless that part is the n - 2 3-sets and 2 others, x_i^2 x_j
+    and x_i x_j^2, in no other edge's part, so that H(I, 3) = 2e + t, ArithmeticError."""
     w, high = packing(n, 3)
-    bits = {m: 1 << i for i, m in enumerate(packed_monomials(n, 3, w))}
-    edges = tuple((sum(bits[m] for m in degree_part(edge_ideal(Graph.from_edge_list(n, [p])), 3)),
-                   sum(1 << v - 1 for v in p)) for p in edge_pairs(n))
-    return edges, sum(bit for m, bit in bits.items() if not m & high)
+    bits = {m: 1 << i for i, m in enumerate(m for m in packed_monomials(n, 3, w) if not m & high)}
+    edges, taken = [], set()  # the non-square-free members of the parts so far
+    for p in edge_pairs(n):
+        part = degree_part(edge_ideal(Graph.from_edge_list(n, [p])), 3)
+        others = {m for m in part if m & high}
+        if len(part) != n or len(others) != 2 or not taken.isdisjoint(others):
+            raise ArithmeticError(f"I_3 of the edge {p} on {n} vertices is not its {n - 2} 3-sets "
+                                  "and 2 multiples of it alone")
+        taken |= others
+        edges.append((sum(bits[m] for m in part - others), sum(1 << v - 1 for v in p)))
+    return tuple(edges)
 
 
 def _subset_table(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Per subset of the (multiples, vertex mask) edges, indexed by its mask
-    over them: the OR of their multiples and the AND of their vertex masks."""
+    """Per subset of the (3-sets, vertex mask) edges, indexed by its mask
+    over them: the OR of their 3-sets and the AND of their vertex masks."""
     table = [(0, -1)]
-    for multiples, vertices in edges:
-        table += [(m | multiples, v & vertices) for m, v in table]
+    for triples, vertices in edges:
+        table += [(t | triples, v & vertices) for t, v in table]
     return tuple(table)
 
 
@@ -168,32 +178,34 @@ def _representatives(n: int, depth: int) -> tuple[int, tuple[tuple[int, int], ..
 @lru_cache(maxsize=MAX_VERTICES)
 def _tables(n: int, free: int, macaulay, kk) -> tuple:
     """The one snapshot _check_blocks reads for the last ``free`` edges of edge_pairs(n), keyed by the
-    pseudo-powers too, so it follows a patched one; a run keys one per n.  In order: both parts of
-    _edge_tables(n); the number of low edges, the first free ones; per edge count e, the Macaulay bound
-    on H(P/I, 3) and the Kruskal-Katona bound on f_2.  Lane L, one per subset of the low edges, owns the
-    w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1 in each field;
-    per edge count e0, M(e0 + |L|) in each field; per set of low edges dividing some degree-3 monomials,
-    (those monomials as a bitset, a 1 in each lane holding one of the edges); per vertex v, (1 << v - 1,
-    the guard bits of the lanes whose edges all hold v); and the _subset_table of the low and high edges."""
-    every_edge, squarefree = _edge_tables(n)
+    pseudo-powers too, so it follows a patched one; a run keys one per n.  With t the 3-sets holding an
+    edge, H(P/I, 3) = C(n+2, 3) - 2e - t >= M(e) exactly when t + M(e) + 2e - (C(n+2, 3) - C(n, 3)) <= C(n, 3).
+    In order: _edge_tables(n); the number of low edges, the first free ones; per edge count e, the
+    Macaulay bound M(e) on H(P/I, 3) and the Kruskal-Katona bound on f_2.  Lane L, one per subset of the
+    low edges, owns the w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a
+    1 in each field; per edge count e0, M(e) + 2e - (C(n+2, 3) - C(n, 3)) at e = e0 + |L|, clamped to
+    0..C(n, 3) + 1, in each field; per set of low edges holding some 3-sets, (those 3-sets as a bitset, a
+    1 in each lane holding one of the edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose
+    edges all hold v); and the _subset_table of the low and high edges."""
+    every_edge = _edge_tables(n)
     edges = every_edge[binomial(n, 2) - free:]
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
     # 2^12 lanes, chosen at n = 10: 2^15 (all 15 free edges) ran slower, and one level deeper took 15x the memory
-    low, ring3 = edges[:12], binomial(n + 2, 3)
-    w = (2 * ring3 + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
-    # Clamped to 0..ring3 + 1, a bound gives every h3 in 0..ring3 the same verdict.
-    ones, mac = 1, [min(max(macaulay, 0), ring3 + 1) for macaulay, _ in bounds]
-    planes, stars = [(reduce(or_, (multiples for multiples, _ in low), 0), 0)], [1] * n
-    for k, (multiples, vertices) in enumerate(low):  # lanes 2^k..2^(k+1)-1 add low edge k
+    low, triangles, cubic = edges[:12], binomial(n, 3), binomial(n + 2, 3) - binomial(n, 3)
+    w = (2 * triangles + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
+    # Clamped to 0..triangles + 1, a bound gives every t in 0..triangles the same verdict.
+    ones, mac = 1, [min(max(macaulay + 2 * e - cubic, 0), triangles + 1) for e, (macaulay, _) in enumerate(bounds)]
+    planes, stars = [(reduce(or_, (triples for triples, _ in low), 0), 0)], [1] * n
+    for k, (triples, vertices) in enumerate(low):  # lanes 2^k..2^(k+1)-1 add low edge k
         width, holders = w << k, ones << (w << k)
         mac = [a | b << width for a, b in zip(mac, mac[1:])]
-        planes = [part for group, p in planes for part in ((group & ~multiples, p | p << width),
-                                                         (group & multiples, p | p << width | holders)) if part[0]]
+        planes = [part for group, p in planes for part in ((group & ~triples, p | p << width),
+                                                         (group & triples, p | p << width | holders)) if part[0]]
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
     stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars))
-    return (every_edge, squarefree, len(low), bounds, w, ones, tuple(mac), tuple(planes), stars,
+    return (every_edge, len(low), bounds, w, ones, tuple(mac), tuple(planes), stars,
             _subset_table(low), _subset_table(edges[len(low):]))
 
 
@@ -206,32 +218,33 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     The fixed edges fold into one OR and AND.  The first free edges are the low edges of _tables,
     whose subsets L are the lanes; the others, the high edges, stay a loop over subsets H.
     With F the fixed edges and H, H(P/I, 3) >= M(|F| + |L|) exactly when
-    u = M(|F| + |L|) + #(multiples of L, not of F) <= base = C(n+2, 3) - #(multiples of F),
-    so one subtraction, (guard + base in each field) - u, keeps the guard bits of those lanes,
-    and no field borrows from the next.  The star lanes, whose edges all hold a vertex that
-    every edge of F holds, are OR'ed in.  These candidates, every Gotzmann or star mask, go
-    through the scalar checks lowest mask first; any other lane is a non-star below its bound."""
+    u = (the lane bound at |F| + |L|) + #(3-sets holding an edge of L, none of F or H)
+    <= base = C(n, 3) - t(F and H), so one subtraction, (guard + base in each field) - u, keeps the
+    guard bits of those lanes, and no field borrows from the next.  The star lanes, whose edges all
+    hold a vertex that every edge of F holds, are OR'ed in.  These candidates, every Gotzmann or star
+    mask, go through the scalar checks lowest mask first, where one popcount gives t, and so both
+    H(P/I, 3) and f_2 = C(n, 3) - t; any other lane is a non-star below its bound."""
     shift = binomial(n, 2) - free
     if not 0 <= shift <= binomial(n, 2):
         raise ValueError("edge mask out of range")
-    edges, squarefree, split, bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
+    edges, split, bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
         n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
     half, guard = shift + split, ones << w - 1
     ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
     for fixed, weight in blocks:
         if fixed < 0 or fixed >> shift:
             raise ValueError("edge mask out of range")
-        fixed_multiples, fixed_common, rest = 0, -1, fixed
+        fixed_triples, fixed_common, rest = 0, -1, fixed
         while rest:
-            multiples, vertices = edges[(rest & -rest).bit_length() - 1]
-            fixed_multiples, fixed_common, rest = fixed_multiples | multiples, fixed_common & vertices, rest & rest - 1
+            triples, vertices = edges[(rest & -rest).bit_length() - 1]
+            fixed_triples, fixed_common, rest = fixed_triples | triples, fixed_common & vertices, rest & rest - 1
         checked += weight << free
-        for hi, (high_multiples, high_common) in enumerate(high):
-            high_multiples, high_common = high_multiples | fixed_multiples, high_common & fixed_common
-            e0, base = fixed.bit_count() + hi.bit_count(), ring3 - high_multiples.bit_count()
+        for hi, (high_triples, high_common) in enumerate(high):
+            high_triples, high_common = high_triples | fixed_triples, high_common & fixed_common
+            e0, base = fixed.bit_count() + hi.bit_count(), triangles - high_triples.bit_count()
             u = mac[e0]
             for group, plane in planes:
-                u += (group & ~high_multiples).bit_count() * plane
+                u += (group & ~high_triples).bit_count() * plane
             candidates = (guard | base * ones) - u & guard
             for vertex, star_lanes in vertex_stars:
                 if high_common & vertex:
@@ -239,16 +252,14 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
             while candidates:
                 lo = (candidates & -candidates).bit_length() // w - 1
                 candidates &= candidates - 1
-                low_multiples, low_common = low[lo]
-                multiples, common = low_multiples | high_multiples, low_common & high_common
-                h3 = ring3 - multiples.bit_count()
-                macaulay, kk = bounds[e0 + lo.bit_count()]
+                low_triples, low_common = low[lo]
+                t, common, e = (low_triples | high_triples).bit_count(), low_common & high_common, e0 + lo.bit_count()
+                h3, f2, (macaulay, kk) = ring3 - 2 * e - t, triangles - t, bounds[e]
                 mask = fixed | lo << shift | hi << half
                 if h3 > macaulay:
                     raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
-                star, gotz, e = common != 0, h3 == macaulay, mask.bit_count()
+                star, gotz = common != 0, h3 == macaulay
                 stars, gotzmann = stars + star * weight, gotzmann + gotz * weight
-                f2 = triangles - (multiples & squarefree).bit_count()
                 if gotz != star or gotz and (e >= n or f2 != kk):
                     raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
                                               f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "

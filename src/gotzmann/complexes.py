@@ -10,7 +10,7 @@ and the minimal non-faces are the faces' extensions that are no faces.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress, islice
 from typing import Iterable, Iterator
 
@@ -53,6 +53,14 @@ def _holders(n: int) -> dict[int, int]:
     ones, repeated by one geometric-sum division); key 0 -> the indicator of all 2^n sets."""
     full = (1 << (1 << n)) - 1
     return {0: full} | {1 << v: full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1 << (1 << v)) for v in range(n)}
+
+
+def _indicator(masks: Iterable[int], n: int) -> int:
+    """The 2^n-bit int with bit s set for each s in ``masks``, filled as bytes 0 and 1 and read in one go."""
+    indicator = bytearray(1 << n)
+    for s in masks:
+        indicator[s] = 1
+    return int(indicator[::-1].translate(_SWAP_DIGITS), 2)
 
 
 def _members(indicator: int, n: int) -> Iterator[int]:
@@ -195,14 +203,17 @@ def squarefree_face_count(ideal: MonomialIdeal, size: int) -> int:
 
 
 def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Faces: vertex sets whose square-free product is not in the ideal: the bits outside the OR over
-    the generators of the AND of their vertices' _holders, or the _face_levels once 2^n passes the cap."""
+    """Faces: vertex sets whose square-free product is not in the ideal, those holding no support: the bits
+    outside the up-closure of the supports' _indicator, one OR per vertex bit b, as bit s of above << b is
+    the bit of s - b; or the _face_levels once 2^n passes the cap."""
     n = ideal.ambient_vars
     if n >= MAX_COMPLEX_FACES.bit_length():  # 2^n > the cap, read off n so no 2^n-bit int is built
         return SimplicialComplex._make((n, frozenset().union(*_face_levels(ideal))))
     holders = _holders(n)
-    above = (reduce(int.__and__, map(holders.__getitem__, _bits(m)), holders[0]) for m in _supports(ideal))
-    return SimplicialComplex._make((n, frozenset(_members(holders[0] ^ reduce(int.__or__, above, 0), n))))
+    above = _indicator(_supports(ideal), n)
+    for b, holder in islice(holders.items(), 1, None):  # after key 0, the indicator of all sets
+        above |= above << b & holder
+    return SimplicialComplex._make((n, frozenset(_members(holders[0] ^ above, n))))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
@@ -216,11 +227,7 @@ def ideal_of_complex(complex_: SimplicialComplex) -> frozenset[Monomial]:
     if n >= MAX_COMPLEX_FACES.bit_length():  # 2^n > the cap, read off n so no 2^n-bit int is built
         minimal = _extensions(faces, n, faces)
     else:
-        indicator = bytearray(1 << n)
-        for s in faces:
-            indicator[s] = 1
-        f = int(indicator[::-1].translate(_SWAP_DIGITS), 2)  # bit s set: s is a face
-        holders = _holders(n)
+        f, holders = _indicator(faces, n), _holders(n)  # bit s of f set: s is a face
         bits = holders[0] ^ f
         for b, holder in islice(holders.items(), 1, None):  # after key 0, the indicator of all sets
             bits &= f << b | ~holder

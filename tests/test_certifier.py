@@ -23,7 +23,7 @@ from gotzmann.certifier import (
     verify_star_theorem,
 )
 from gotzmann.combinatorics import binomial, kruskal_katona_pseudopower, macaulay_pseudopower
-from gotzmann.graphs import Graph, edge_ideal, edge_pairs, is_star
+from gotzmann.graphs import Graph, count_dependent_triples, edge_ideal, edge_pairs, is_star
 from gotzmann.monomials import (
     Monomial,
     MonomialIdeal,
@@ -263,27 +263,39 @@ class TestVerifyStarTheorem:
 
     @pytest.mark.usefixtures("uncached_tables")
     def test_wrong_table_entry_reports_its_graph(self, monkeypatch):
-        # Count x3^3, which no edge ideal contains, as a multiple of x1*x2 on
+        # Count the 3-set {1, 3, 4}, which does not hold the edge, as one of x1*x2's on
         # four vertices: every star through edge 12 turns non-Gotzmann, and
         # the single edge 12 (mask 1) is the lowest such mask.
         cached = certifier._edge_tables
-        edges, squarefree = cached(4)
-        (multiples, vertices), *rest = edges
-        wrong = multiples | 1 << all_monomials(4, 3).index((0, 0, 3, 0))
-        monkeypatch.setattr(
-            certifier, "_edge_tables",
-            lambda n: (((wrong, vertices), *rest), squarefree) if n == 4 else cached(n),
-        )
+        (triples, vertices), *rest = cached(4)
+        wrong = triples | 1 << list(combinations(range(1, 5), 3)).index((1, 3, 4))
+        monkeypatch.setattr(certifier, "_edge_tables", lambda n: ((wrong, vertices), *rest) if n == 4 else cached(n))
         with pytest.raises(StarTheoremMismatch) as info:
             verify_star_theorem(4)
         assert info.value.graph == Graph.from_edge_mask(4, 1)
-        assert "is_gotzmann=False, is_star=True" in str(info.value)
+        assert "is_gotzmann=False, is_star=True, e=1, f_2=1 " in str(info.value)
 
-    def test_a_second_run_builds_no_tables(self):
+    @pytest.mark.usefixtures("shared_cubic_multiple")
+    def test_a_shared_cubic_multiple_is_an_arithmetic_error(self):
+        # the part of edge 12 keeps its size and shape; edge 13, read next, meets its x1^2*x3 again
+        with pytest.raises(ArithmeticError, match=r"^I_3 of the edge \(1, 3\) on 4 vertices is not its 2 3-sets "
+                                                  r"and 2 multiples of it alone$"):
+            verify_star_theorem(4)
+
+    def test_a_second_run_builds_no_tables(self, monkeypatch):
+        # the cache hands back the very snapshot it built: a rebuild would give equal, new tuples
+        true_tables, snapshots = certifier._tables, []
+
+        def recorded(*key):
+            snapshots.append(true_tables(*key))
+            return snapshots[-1]
+
+        monkeypatch.setattr(certifier, "_tables", recorded)
         verify_star_theorem(8)
-        built = certifier._tables.cache_info().currsize
+        first, snapshots[:] = snapshots[:], []
         verify_star_theorem(8)
-        assert certifier._tables.cache_info().currsize == built
+        assert len(snapshots) == len(first) == 8
+        assert all(again is built for again, built in zip(snapshots, first))
 
     def test_a_second_run_misses_neither_cache(self):
         # a full cache keeps its size while it rebuilds, so its misses tell what currsize cannot
@@ -295,17 +307,13 @@ class TestVerifyStarTheorem:
 
     @pytest.mark.usefixtures("uncached_tables")
     def test_lane_tables_follow_a_patched_edge_table(self, monkeypatch):
-        # As above, but on (3, 4), the last edge at n = 4 and a lane edge, once the lane
+        # As above, but {1, 2, 3} on (3, 4), the last edge at n = 4 and a lane edge, once the lane
         # tables of the true table have been built: the single edge 34 (mask 32) is reported.
         verify_star_theorem(4)
         cached = certifier._edge_tables
-        edges, squarefree = cached(4)
-        *rest, (multiples, vertices) = edges
-        wrong = multiples | 1 << all_monomials(4, 3).index((3, 0, 0, 0))
-        monkeypatch.setattr(
-            certifier, "_edge_tables",
-            lambda n: ((*rest, (wrong, vertices)), squarefree) if n == 4 else cached(n),
-        )
+        *rest, (triples, vertices) = cached(4)
+        wrong = triples | 1 << list(combinations(range(1, 5), 3)).index((1, 2, 3))
+        monkeypatch.setattr(certifier, "_edge_tables", lambda n: (*rest, (wrong, vertices)) if n == 4 else cached(n))
         with pytest.raises(StarTheoremMismatch) as info:
             verify_star_theorem(4)
         assert info.value.graph == Graph.from_edge_mask(4, 1 << 5)
@@ -477,7 +485,7 @@ class TestSubsetTable:
         # as in complexes: the edges' vertex masks and the keys of the star lanes, each lane's
         # guard bit set for vertex v when every low edge of the lane holds v
         n = 5
-        edges, _ = _edge_tables(n)
+        edges = _edge_tables(n)
         pairs = edge_pairs(n)
         assert [vertices for _, vertices in edges] == list(map(vertex_mask, pairs))
         *_, w, _, _, _, stars, _, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
@@ -488,16 +496,16 @@ class TestSubsetTable:
 
     def test_entries_equal_a_direct_or_and(self):
         for n in range(1, 6):
-            edges, _ = _edge_tables(n)
+            edges = _edge_tables(n)
             table = _subset_table(edges)
             assert len(table) == 1 << len(edges)
-            for mask, (multiples, common) in enumerate(table):
+            for mask, (triples, common) in enumerate(table):
                 chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-                expected_multiples, expected_common = 0, -1
-                for m, v in chosen:
-                    expected_multiples |= m
+                expected_triples, expected_common = 0, -1
+                for t, v in chosen:
+                    expected_triples |= t
                     expected_common &= v
-                assert (multiples, common) == (expected_multiples, expected_common)
+                assert (triples, common) == (expected_triples, expected_common)
 
 
 def fields(x, w, lanes):
@@ -508,31 +516,45 @@ def fields(x, w, lanes):
 
 
 class TestLaneTables:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_triples_count_the_dependent_triples(self, data):
+        # the identity the kernel rests on: H(P/I, 3) = C(n+2, 3) - 2e - t
+        n = data.draw(st.integers(1, 8))
+        mask = data.draw(st.integers(0, (1 << binomial(n, 2)) - 1))
+        g, edges = Graph.from_edge_mask(n, mask), _edge_tables(n)
+        t = reduce(or_, (triples for i, (triples, _) in enumerate(edges) if mask >> i & 1), 0).bit_count()
+        assert t == count_dependent_triples(g)
+        assert binomial(n + 2, 3) - 2 * g.edge_count - t == hilbert_quotient(edge_ideal(g), 3)
+
     @pytest.mark.parametrize("n, free", [(n, free) for n in range(1, 8) for free in range(binomial(n, 2) + 1)]
                              + [(8, 15)])  # n = 8 with 15 free edges has 3 high edges
     def test_every_field_meets_its_definition(self, n, free):
         # each table against what lane L (a set of low edges) stands for, field by field
         table = _tables(n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
-        edges, squarefree, split, bounds, w, ones, mac, planes, stars, low, high = table
-        assert (edges, squarefree) == _edge_tables(n)
-        ring3, shift, lanes = binomial(n + 2, 3), binomial(n, 2) - free, 1 << min(free, 12)
-        assert split == min(free, 12) and 2 * ring3 + 1 < 1 << w - 1
+        edges, split, bounds, w, ones, mac, planes, stars, low, high = table
+        assert edges == _edge_tables(n)
+        pairs, triples = edge_pairs(n), list(combinations(range(1, n + 1), 3))
+        assert [t for t, _ in edges] == [sum(1 << i for i, s in enumerate(triples) if set(p) <= set(s)) for p in pairs]
+        triangles, shift, lanes = binomial(n, 3), binomial(n, 2) - free, 1 << min(free, 12)
+        assert split == min(free, 12) and 2 * triangles + 1 < 1 << w - 1
         macaulay = [macaulay_pseudopower(binomial(n + 1, 2) - e, 2) for e in range(binomial(n, 2) + 1)]
         assert bounds == tuple((m, kruskal_katona_pseudopower(binomial(n, 2) - e, 2)) for e, m in enumerate(macaulay))
         assert fields(ones, w, lanes) == [1] * lanes
         assert len(mac) == binomial(n, 2) + 1 - split
-        clamped = [min(max(m, 0), ring3 + 1) for m in macaulay]
+        # M(e) + 2e - (C(n+2, 3) - C(n, 3)): at most C(n, 3) - t exactly when H(P/I, 3) >= M(e)
+        lane_bounds = [m + 2 * e - binomial(n + 2, 3) + triangles for e, m in enumerate(macaulay)]
+        clamped = [min(max(bound, 0), triangles + 1) for bound in lane_bounds]
         for e0, packed in enumerate(mac):
             assert fields(packed, w, lanes) == [clamped[e0 + lane.bit_count()] for lane in range(lanes)]
         chosen = [[shift + k for k in range(split) if lane >> k & 1] for lane in range(lanes)]
-        pairs = edge_pairs(n)
         holders = [set(range(1, n + 1)).intersection(*(pairs[i] for i in lane)) for lane in chosen]
         for v in range(1, n + 1):
             assert stars[v - 1][0] == vertex_mask({v})
             assert fields(stars[v - 1][1], w, lanes) == [(v in held) << w - 1 for held in holders]
-        multiples = [reduce(or_, (edges[i][0] for i in lane), 0) for lane in chosen]
+        lane_triples = [reduce(or_, (edges[i][0] for i in lane), 0) for lane in chosen]
         rng = random.Random(100 * n + free)
-        for outside in [0, (1 << ring3) - 1] + [rng.getrandbits(ring3) for _ in range(3)]:
+        for outside in [0, (1 << triangles) - 1] + [rng.getrandbits(triangles) for _ in range(3)]:
             total = sum((group & ~outside).bit_count() * plane for group, plane in planes)
-            assert fields(total, w, lanes) == [(m & ~outside).bit_count() for m in multiples]
+            assert fields(total, w, lanes) == [(t & ~outside).bit_count() for t in lane_triples]
         assert (low, high) == (_subset_table(edges[shift:shift + split]), _subset_table(edges[shift + split:]))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from gotzmann.cli import _build_parser, main
 from gotzmann.combinatorics import binomial
 from gotzmann.fileformats import format_ideal
 from gotzmann.monomials import lex_segment_ideal
-from oracles import all_monomials
 
 PAPER_EXAMPLE_IDEAL = "4\n1:1 2:1 3:1\n1:1 4:1\n"
 STAR7_GRAPH = "7\n1 2\n1 3\n1 4\n1 5\n1 6\n"
@@ -345,10 +345,10 @@ class TestVerify:
             "gotzmann_found=271\nmismatches=0\n"
         )
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [7, 8, 9])  # N = 9 is the first run at depth 3, about 1.2 s
     def test_machine_bytes_pinned_beyond_six(self, capsys, n):
         # labeled counts, though the verifier checks one graph per orbit
-        graphs, stars = {7: (2131019, 692), 8: (270566475, 1681)}[n]
+        graphs, stars = {7: (2131019, 692), 8: (270566475, 1681), 9: (68990043211, 3941)}[n]
         code, out, _ = run(
             capsys, "verify-star-theorem", "--max-vertices", str(n), "--machine"
         )
@@ -450,19 +450,22 @@ class TestExitCodes:
     @pytest.mark.usefixtures("uncached_tables")
     def test_theorem_mismatch_exits_1_with_its_graph(self, capsys, monkeypatch):
         # the patched table of TestVerifyStarTheorem::test_wrong_table_entry_reports_its_graph
-        # in test_certifier.py: x3^3 counted as a multiple of x1*x2 on four vertices
+        # in test_certifier.py: the 3-set {1, 3, 4} counted as one holding x1*x2 on four vertices
         cached = certifier._edge_tables
-        edges, squarefree = cached(4)
-        (multiples, vertices), *rest = edges
-        wrong = multiples | 1 << all_monomials(4, 3).index((0, 0, 3, 0))
-        monkeypatch.setattr(
-            certifier, "_edge_tables",
-            lambda n: (((wrong, vertices), *rest), squarefree) if n == 4 else cached(n),
-        )
+        (triples, vertices), *rest = cached(4)
+        wrong = triples | 1 << list(combinations(range(1, 5), 3)).index((1, 3, 4))
+        monkeypatch.setattr(certifier, "_edge_tables", lambda n: ((wrong, vertices), *rest) if n == 4 else cached(n))
         code, out, err = run(capsys, "verify-star-theorem", "--max-vertices", "4")
         assert (code, out) == (1, "")
         assert err == ("MISMATCH: counterexample on 4 vertices (edge mask 1): is_gotzmann=False, "
-                       "is_star=True, e=1, f_2=2 against the Kruskal-Katona bound 2\n4\n1 2\n\n")
+                       "is_star=True, e=1, f_2=1 against the Kruskal-Katona bound 2\n4\n1 2\n\n")
+
+    @pytest.mark.usefixtures("shared_cubic_multiple")
+    def test_broken_degree_three_identity_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify-star-theorem", "--max-vertices", "4")
+        assert (code, out) == (3, "")
+        assert err == ("internal error: I_3 of the edge (1, 3) on 4 vertices is not its 2 3-sets "
+                       "and 2 multiples of it alone\n")
 
 
 MACHINE_ARGS = {
