@@ -2,22 +2,21 @@
 
 The certifier reads H(P/I, d+1) and f_d from one enumeration of I_{d+1}.  The verifier makes one
 kernel call per vertex count n, over one block of graphs per class of a stabilizer chain fixing
-vertices 1..depth (depth max(2, n - 6), so at most 15 free edges), weighted by class size.
+vertices 1..depth (depth min(max(2, n - 5), 4), so at most 15 free edges), weighted by class size.
 H(I, 3) = 2e + t, with t the 3-sets holding an edge, as x_i^2 x_j is a multiple of the edge ij
 alone; the edge tables, read off the enumeration of I_3, are checked against it once per n.  So
 bitsets of 3-sets make t, and with it H(P/I, 3) and f_2, a popcount, and one cached snapshot per
-n holds them with the bounds and the lane and subset tables of the free edges; up to 2^12 graphs
-share one int, a guard-bit field each, so one subtraction tests them all against the Macaulay
-bound; only those at it, and stars, reach the scalar checks.
+n holds them with the bounds and the lane and subset tables of the free edges; the 2^free graphs of
+a block share one int, a guard-bit field each, so one subtraction tests them all against the
+Macaulay bound; only those at it, and stars, reach the scalar checks.
 """
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
-from operator import or_
 
 from .combinatorics import _Value, binomial, kruskal_katona_pseudopower, macaulay_pseudopower
 from .graphs import Graph, edge_ideal, edge_pairs
@@ -180,24 +179,23 @@ def _tables(n: int, free: int, macaulay, kk) -> tuple:
     """The one snapshot _check_blocks reads for the last ``free`` edges of edge_pairs(n), keyed by the
     pseudo-powers too, so it follows a patched one; a run keys one per n.  With t the 3-sets holding an
     edge, H(P/I, 3) = C(n+2, 3) - 2e - t >= M(e) exactly when t + M(e) + 2e - (C(n+2, 3) - C(n, 3)) <= C(n, 3).
-    In order: _edge_tables(n); the number of low edges, the first free ones; per edge count e, the
-    Macaulay bound M(e) on H(P/I, 3) and the Kruskal-Katona bound on f_2.  Lane L, one per subset of the
-    low edges, owns the w-bit field at bit L*w of an int, whose top bit is its guard.  Then w; ``ones``, a
-    1 in each field; per edge count e0, M(e) + 2e - (C(n+2, 3) - C(n, 3)) at e = e0 + |L|, clamped to
-    0..C(n, 3) + 1, in each field; per set of low edges holding some 3-sets, (those 3-sets as a bitset, a
-    1 in each lane holding one of the edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose
-    edges all hold v); and the _subset_table of the low and high edges."""
+    In order: _edge_tables(n); per edge count e, the Macaulay bound M(e) on H(P/I, 3) and the
+    Kruskal-Katona bound on f_2.  Lane L, one per subset of the free edges, owns the w-bit field at bit
+    L*w of an int, whose top bit is its guard.  Then w; ``ones``, a 1 in each field; per edge count e0,
+    M(e) + 2e - (C(n+2, 3) - C(n, 3)) at e = e0 + |L|, clamped to 0..C(n, 3) + 1, in each field; per set
+    of free edges holding some 3-sets, (those 3-sets as a bitset, a 1 in each lane holding one of the
+    edges); per vertex v, (1 << v - 1, the guard bits of the lanes whose edges all hold v); and the
+    _subset_table of the free edges, whose last entry ORs all their 3-sets."""
     every_edge = _edge_tables(n)
     edges = every_edge[binomial(n, 2) - free:]
     bounds = tuple((macaulay(binomial(n + 1, 2) - e, 2), kk(binomial(n, 2) - e, 2))
                    for e in range(binomial(n, 2) + 1))
-    # 2^12 lanes, chosen at n = 10: 2^15 (all 15 free edges) ran slower, and one level deeper took 15x the memory
-    low, triangles, cubic = edges[:12], binomial(n, 3), binomial(n + 2, 3) - binomial(n, 3)
+    triangles, cubic, lanes = binomial(n, 3), binomial(n + 2, 3) - binomial(n, 3), _subset_table(edges)
     w = (2 * triangles + 1).bit_length() + 1  # a count plus a clamped bound stays below the guard
     # Clamped to 0..triangles + 1, a bound gives every t in 0..triangles the same verdict.
     ones, mac = 1, [min(max(macaulay + 2 * e - cubic, 0), triangles + 1) for e, (macaulay, _) in enumerate(bounds)]
-    planes, stars = [(reduce(or_, (triples for triples, _ in low), 0), 0)], [1] * n
-    for k, (triples, vertices) in enumerate(low):  # lanes 2^k..2^(k+1)-1 add low edge k
+    planes, stars = [(lanes[-1][0], 0)], [1] * n
+    for k, (triples, vertices) in enumerate(edges):  # lanes 2^k..2^(k+1)-1 add free edge k
         width, holders = w << k, ones << (w << k)
         mac = [a | b << width for a, b in zip(mac, mac[1:])]
         planes = [part for group, p in planes for part in ((group & ~triples, p | p << width),
@@ -205,21 +203,20 @@ def _tables(n: int, free: int, macaulay, kk) -> tuple:
         stars = [s | s << width if vertices >> v & 1 else s for v, s in enumerate(stars)]
         ones |= holders
     stars = tuple((1 << v, s << w - 1) for v, s in enumerate(stars))
-    return (every_edge, len(low), bounds, w, ones, tuple(mac), tuple(planes), stars,
-            _subset_table(low), _subset_table(edges[len(low):]))
+    return every_edge, bounds, w, ones, tuple(mac), tuple(planes), stars, lanes
 
 
 def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     """(checked, stars, gotzmann), weighted, over the blocks ((fixed, weight), ...), a block
     being the 2^free masks fixed | f << (C(n, 2) - free), the free edges being the last of
-    edge_pairs(n); a failure raises StarTheoremMismatch, and free outside 0..C(n, 2) ValueError.
+    edge_pairs(n); a failure raises StarTheoremMismatch, and free outside 0..min(C(n, 2), 15)
+    ValueError, before any table is read: 15 is the most free edges verify_star_theorem leaves.
     Each call makes one cache lookup, _tables(n, free, ...), for every edge, bound and lane.
 
-    The fixed edges fold into one OR and AND.  The first free edges are the low edges of _tables,
-    whose subsets L are the lanes; the others, the high edges, stay a loop over subsets H.
-    With F the fixed edges and H, H(P/I, 3) >= M(|F| + |L|) exactly when
-    u = (the lane bound at |F| + |L|) + #(3-sets holding an edge of L, none of F or H)
-    <= base = C(n, 3) - t(F and H), so one subtraction, (guard + base in each field) - u, keeps the
+    The fixed edges fold into one OR and AND, and every subset L of the free edges is a lane of
+    _tables.  With F the fixed edges, H(P/I, 3) >= M(|F| + |L|) exactly when
+    u = (the lane bound at |F| + |L|) + #(3-sets holding an edge of L, none of F)
+    <= base = C(n, 3) - t(F), so one subtraction, (guard + base in each field) - u, keeps the
     guard bits of those lanes, and no field borrows from the next.  The star lanes, whose edges all
     hold a vertex that every edge of F holds, are OR'ed in.  These candidates, every Gotzmann or star
     mask, go through the scalar checks lowest mask first, where one popcount gives t, and so both
@@ -227,9 +224,11 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
     shift = binomial(n, 2) - free
     if not 0 <= shift <= binomial(n, 2):
         raise ValueError("edge mask out of range")
-    edges, split, bounds, w, ones, mac, planes, vertex_stars, low, high = _tables(
+    if free > 15:  # the tables hold 2^free lanes
+        raise ValueError(f"at most 15 free edges, not {free}")
+    edges, bounds, w, ones, mac, planes, vertex_stars, lanes = _tables(
         n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
-    half, guard = shift + split, ones << w - 1
+    guard = ones << w - 1
     ring3, triangles, checked, stars, gotzmann = binomial(n + 2, 3), binomial(n, 3), 0, 0, 0
     for fixed, weight in blocks:
         if fixed < 0 or fixed >> shift:
@@ -239,31 +238,29 @@ def _check_blocks(n: int, free: int, blocks) -> tuple[int, int, int]:
             triples, vertices = edges[(rest & -rest).bit_length() - 1]
             fixed_triples, fixed_common, rest = fixed_triples | triples, fixed_common & vertices, rest & rest - 1
         checked += weight << free
-        for hi, (high_triples, high_common) in enumerate(high):
-            high_triples, high_common = high_triples | fixed_triples, high_common & fixed_common
-            e0, base = fixed.bit_count() + hi.bit_count(), triangles - high_triples.bit_count()
-            u = mac[e0]
-            for group, plane in planes:
-                u += (group & ~high_triples).bit_count() * plane
-            candidates = (guard | base * ones) - u & guard
-            for vertex, star_lanes in vertex_stars:
-                if high_common & vertex:
-                    candidates |= star_lanes
-            while candidates:
-                lo = (candidates & -candidates).bit_length() // w - 1
-                candidates &= candidates - 1
-                low_triples, low_common = low[lo]
-                t, common, e = (low_triples | high_triples).bit_count(), low_common & high_common, e0 + lo.bit_count()
-                h3, f2, (macaulay, kk) = ring3 - 2 * e - t, triangles - t, bounds[e]
-                mask = fixed | lo << shift | hi << half
-                if h3 > macaulay:
-                    raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
-                star, gotz = common != 0, h3 == macaulay
-                stars, gotzmann = stars + star * weight, gotzmann + gotz * weight
-                if gotz != star or gotz and (e >= n or f2 != kk):
-                    raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
-                                              f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
-                                              f"the Kruskal-Katona bound {kk}", Graph.from_edge_mask(n, mask))
+        e0, base = fixed.bit_count(), triangles - fixed_triples.bit_count()
+        u = mac[e0]
+        for group, plane in planes:
+            u += (group & ~fixed_triples).bit_count() * plane
+        candidates = (guard | base * ones) - u & guard
+        for vertex, star_lanes in vertex_stars:
+            if fixed_common & vertex:
+                candidates |= star_lanes
+        while candidates:
+            lo = (candidates & -candidates).bit_length() // w - 1
+            candidates &= candidates - 1
+            lane_triples, lane_common = lanes[lo]
+            t, common, e = (lane_triples | fixed_triples).bit_count(), lane_common & fixed_common, e0 + lo.bit_count()
+            h3, f2, (macaulay, kk) = ring3 - 2 * e - t, triangles - t, bounds[e]
+            mask = fixed | lo << shift
+            if h3 > macaulay:
+                raise ArithmeticError(f"H(P/I,3) = {h3} > Macaulay bound {macaulay} (n={n}, mask {mask})")
+            star, gotz = common != 0, h3 == macaulay
+            stars, gotzmann = stars + star * weight, gotzmann + gotz * weight
+            if gotz != star or gotz and (e >= n or f2 != kk):
+                raise StarTheoremMismatch(f"counterexample on {n} vertices (edge mask {mask}): "
+                                          f"is_gotzmann={gotz}, is_star={star}, e={e}, f_2={f2} against "
+                                          f"the Kruskal-Katona bound {kk}", Graph.from_edge_mask(n, mask))
     return checked, stars, gotzmann
 
 
@@ -273,8 +270,8 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
 
     Relabeling vertices changes neither the Hilbert function nor star-ness, so each n
     makes one _check_blocks call over _representatives(n, depth), weighted by class size:
-    every count is labeled.  The depth is the smallest >= 2 leaving at most 15 free edges, the
-    lane edges of _tables and at most 3 high ones.  A Gotzmann instance also needs e < n and
+    every count is labeled.  The depth is min(max(2, n - 5), 4), leaving at most 15 free edges,
+    every one a lane of _tables.  A Gotzmann instance also needs e < n and
     f_d = f_{d-1}^(d) (Kruskal-Katona), or StarTheoremMismatch carries the graph.  Weights
     not summing to 2^C(n, 2), or other than 1 + C(n, 2) + n(2^(n-1) - n) stars on n
     vertices, raise ArithmeticError.  max_vertices outside 1..MAX_VERTICES, and workers != 1
@@ -287,7 +284,8 @@ def verify_star_theorem(max_vertices: int, workers: int = 1) -> StarTheoremSumma
     start_time = time.perf_counter()
     per_n = []
     for n in range(1, max_vertices + 1):
-        free, representatives = _representatives(n, max(2, n - 6))  # C(n - depth, 2) <= C(6, 2)
+        # 10 free edges up to n = 9, faster than 15; depth 5 at n = 10 builds 2,764,672 blocks (777 MB)
+        free, representatives = _representatives(n, min(max(2, n - 5), 4))
         started = time.perf_counter()
         graphs, stars, gotzmann = _check_blocks(n, free, representatives)
         seconds = time.perf_counter() - started

@@ -237,11 +237,11 @@ class TestVerifyStarTheorem:
         assert summary.mismatches == 0
 
     def test_per_vertex_count_record(self):
-        summary = verify_star_theorem(7)
-        stars = [1 + binomial(n, 2) + n * (2 ** (n - 1) - n) for n in range(1, 8)]
+        summary = verify_star_theorem(9)
+        stars = [1 + binomial(n, 2) + n * (2 ** (n - 1) - n) for n in range(1, 10)]
         assert [record[:5] for record in summary.per_n] == [
             (n, 1 << binomial(n, 2), s, s, blocks)
-            for n, s, blocks in zip(range(1, 8), stars, (1, 2, 6, 13, 24, 40, 62))
+            for n, s, blocks in zip(range(1, 10), stars, (1, 2, 6, 13, 24, 40, 62, 1168, 41360))
         ]
         assert all(0 <= record.seconds <= summary.wall_time_seconds for record in summary.per_n)
         assert (summary.graphs_checked, summary.stars_found) == (
@@ -318,6 +318,7 @@ class TestVerifyStarTheorem:
             verify_star_theorem(4)
         assert info.value.graph == Graph.from_edge_mask(4, 1 << 5)
 
+    @pytest.mark.usefixtures("uncached_tables")
     def test_h3_above_the_macaulay_bound_is_an_arithmetic_error(self, monkeypatch):
         # one less than every bound: each Gotzmann graph now exceeds it, the lowest mask first
         true_bound = certifier.macaulay_pseudopower
@@ -361,6 +362,21 @@ class TestOrbitReduction:
         assert (free, len(representatives)) == (15, 125416)
         assert sum(weight << free for _, weight in representatives) == 1 << 45
 
+    def test_the_verifiers_chains_cover_each_edge_count(self):
+        # per edge count e, the blocks' masks with e edges number C(C(n, 2), e), every labeled graph once
+        counts = []
+        for n in range(1, 11):
+            free, representatives = _representatives(n, min(max(2, n - 5), 4))
+            assert free <= 15  # every free edge is a lane of _check_blocks
+            by_fixed = [0] * (binomial(n, 2) - free + 1)
+            for fixed, weight in representatives:
+                by_fixed[fixed.bit_count()] += weight
+            for e in range(binomial(n, 2) + 1):
+                assert sum(weight * binomial(free, e - f) for f, weight in enumerate(by_fixed)
+                           if 0 <= e - f <= free) == binomial(binomial(n, 2), e)
+            counts.append(len(representatives))
+        assert counts == [1, 2, 6, 13, 24, 40, 62, 1168, 41360, 125416]
+
     def test_depth_zero_and_one(self):
         # depth 0 is the labeled loop; depth 1 moves N(1) to {2..k+1}, in C(n-1, k) ways
         assert _representatives(5, 0) == (10, ((0, 1),))
@@ -379,10 +395,13 @@ class TestOrbitReduction:
             assert _representatives(n, 2) == (binomial(n - 2, 2), closed_form)
 
     def test_weighted_counts_equal_the_labeled_loop(self):
-        # every depth up to n = 6, and the verifier's depth 2 at n = 7
+        # every depth up to n = 6, and the verifier's depth 2 at n = 7, against every mask in blocks
+        # of at most 15 free edges, the most _check_blocks takes: 64 blocks at n = 7
         for n, depth in [*((n, depth) for n in range(1, 7) for depth in range(n + 1)), (7, 2)]:
             free, representatives = _representatives(n, depth)
-            assert _check_blocks(n, free, representatives) == _check_blocks(n, binomial(n, 2), ((0, 1),))
+            lanes = min(binomial(n, 2), 15)
+            labeled = tuple((fixed, 1) for fixed in range(1 << binomial(n, 2) - lanes))
+            assert _check_blocks(n, free, representatives) == _check_blocks(n, lanes, labeled)
 
     def test_wrong_weight_breaks_the_orbit_sum(self, monkeypatch):
         cached = certifier._representatives
@@ -452,7 +471,7 @@ class TestCheckBlock:
         assert _check_blocks(n, free, weighted) == tuple(expected)
 
     @given(blocks())
-    @example((6, 0, 15))  # 12 lane edges, 3 high edges
+    @example((6, 0, 15))  # 15 lane edges, the most a block has
     @example((6, 1, 14))
     @example((6, 0b10, 13))
     @example((5, 0b1011001, 0))  # one lane
@@ -483,12 +502,12 @@ class TestCheckBlock:
 class TestSubsetTable:
     def test_vertex_v_is_bit_v_minus_1(self):
         # as in complexes: the edges' vertex masks and the keys of the star lanes, each lane's
-        # guard bit set for vertex v when every low edge of the lane holds v
+        # guard bit set for vertex v when every edge of the lane holds v
         n = 5
         edges = _edge_tables(n)
         pairs = edge_pairs(n)
         assert [vertices for _, vertices in edges] == list(map(vertex_mask, pairs))
-        *_, w, _, _, _, stars, _, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
+        _, _, w, _, _, _, stars, _ = _tables(n, len(edges), macaulay_pseudopower, kruskal_katona_pseudopower)
         assert stars == tuple(
             (vertex_mask({v}), sum(1 << lane * w + w - 1 for lane in range(1 << len(pairs))
                                    if all(v in pairs[i] for i in range(len(pairs)) if lane >> i & 1)))
@@ -528,26 +547,31 @@ class TestLaneTables:
         assert binomial(n + 2, 3) - 2 * g.edge_count - t == hilbert_quotient(edge_ideal(g), 3)
 
     @pytest.mark.parametrize("n, free", [(n, free) for n in range(1, 8) for free in range(binomial(n, 2) + 1)]
-                             + [(8, 15)])  # n = 8 with 15 free edges has 3 high edges
-    def test_every_field_meets_its_definition(self, n, free):
-        # each table against what lane L (a set of low edges) stands for, field by field
+                             + [(8, 15)])  # n = 7 past 15 free edges is refused; n = 8 at 15 has 2^15 lanes
+    def test_every_field_meets_its_definition(self, n, free, monkeypatch):
+        # each table against what lane L (a set of free edges) stands for, field by field
+        if free > 15:  # refused before a table of 2^free lanes is built
+            monkeypatch.setattr(certifier, "_tables", lambda *key: pytest.fail("tables built"))
+            with pytest.raises(ValueError, match=f"^at most 15 free edges, not {free}$"):
+                _check_blocks(n, free, ())
+            return
         table = _tables(n, free, macaulay_pseudopower, kruskal_katona_pseudopower)
-        edges, split, bounds, w, ones, mac, planes, stars, low, high = table
+        edges, bounds, w, ones, mac, planes, stars, subsets = table
         assert edges == _edge_tables(n)
         pairs, triples = edge_pairs(n), list(combinations(range(1, n + 1), 3))
         assert [t for t, _ in edges] == [sum(1 << i for i, s in enumerate(triples) if set(p) <= set(s)) for p in pairs]
-        triangles, shift, lanes = binomial(n, 3), binomial(n, 2) - free, 1 << min(free, 12)
-        assert split == min(free, 12) and 2 * triangles + 1 < 1 << w - 1
+        triangles, shift, lanes = binomial(n, 3), binomial(n, 2) - free, 1 << free
+        assert 2 * triangles + 1 < 1 << w - 1
         macaulay = [macaulay_pseudopower(binomial(n + 1, 2) - e, 2) for e in range(binomial(n, 2) + 1)]
         assert bounds == tuple((m, kruskal_katona_pseudopower(binomial(n, 2) - e, 2)) for e, m in enumerate(macaulay))
         assert fields(ones, w, lanes) == [1] * lanes
-        assert len(mac) == binomial(n, 2) + 1 - split
+        assert len(mac) == binomial(n, 2) + 1 - free
         # M(e) + 2e - (C(n+2, 3) - C(n, 3)): at most C(n, 3) - t exactly when H(P/I, 3) >= M(e)
         lane_bounds = [m + 2 * e - binomial(n + 2, 3) + triangles for e, m in enumerate(macaulay)]
         clamped = [min(max(bound, 0), triangles + 1) for bound in lane_bounds]
         for e0, packed in enumerate(mac):
             assert fields(packed, w, lanes) == [clamped[e0 + lane.bit_count()] for lane in range(lanes)]
-        chosen = [[shift + k for k in range(split) if lane >> k & 1] for lane in range(lanes)]
+        chosen = [[shift + k for k in range(free) if lane >> k & 1] for lane in range(lanes)]
         holders = [set(range(1, n + 1)).intersection(*(pairs[i] for i in lane)) for lane in chosen]
         for v in range(1, n + 1):
             assert stars[v - 1][0] == vertex_mask({v})
@@ -557,4 +581,4 @@ class TestLaneTables:
         for outside in [0, (1 << triangles) - 1] + [rng.getrandbits(triangles) for _ in range(3)]:
             total = sum((group & ~outside).bit_count() * plane for group, plane in planes)
             assert fields(total, w, lanes) == [(t & ~outside).bit_count() for t in lane_triples]
-        assert (low, high) == (_subset_table(edges[shift:shift + split]), _subset_table(edges[shift + split:]))
+        assert subsets == _subset_table(edges[shift:])

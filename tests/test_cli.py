@@ -345,7 +345,7 @@ class TestVerify:
             "gotzmann_found=271\nmismatches=0\n"
         )
 
-    @pytest.mark.parametrize("n", [7, 8, 9])  # N = 9 is the first run at depth 3, about 1.2 s
+    @pytest.mark.parametrize("n", [7, 8, 9])  # N = 8 and 9 are the first runs at depths 3 and 4, about 1 s
     def test_machine_bytes_pinned_beyond_six(self, capsys, n):
         # labeled counts, though the verifier checks one graph per orbit
         graphs, stars = {7: (2131019, 692), 8: (270566475, 1681), 9: (68990043211, 3941)}[n]
@@ -390,6 +390,7 @@ class TestVerify:
 class TestExitCodes:
     """Exit 1 is a false verdict, a theorem mismatch among them; exit 3 is a failed internal check."""
 
+    @pytest.mark.usefixtures("uncached_tables")
     @pytest.mark.parametrize("argv", [["verify-star-theorem", "--max-vertices", "4"],
                                       ["gotzmann", "--graph", "star.graph"]])
     def test_macaulay_bound_violation_exits_3(self, capsys, monkeypatch, tmp_path, argv):
